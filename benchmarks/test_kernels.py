@@ -108,18 +108,6 @@ def test_heap_sweep_shared_table(benchmark):
     benchmark(lambda: [block.rebuild_line_marks(1) for block in blocks])
 
 
-def test_result_codec_round_trip(benchmark):
-    from repro.faults.generator import FailureModel
-    from repro.sim.machine import RunConfig, run_benchmark
-    from repro.sim.transport import decode_result, encode_result
-
-    result = run_benchmark(
-        RunConfig(workload="luindex", scale=0.05, seed=0,
-                  failure_model=FailureModel(rate=0.25))
-    )
-    benchmark(lambda: decode_result(encode_result(result)))
-
-
 def test_kernel_speedups_and_identity():
     """The microbench suite itself: identity is exact, speedups hold."""
     entries = {e["kernel"]: e for e in bench_kernels(iterations=200)}
@@ -151,7 +139,3 @@ def test_kernel_speedups_and_identity():
         assert entries[kernel]["speedup"] >= floor, (
             f"{kernel}: {entries[kernel]['speedup']:.2f}x < {floor}x floor"
         )
-    # The spool frame's win is bytes moved, not codec CPU: assert the
-    # size relation, leave the round-trip speed to the benchmark rows.
-    codec = entries["result codec (spool frame vs pickle)"]
-    assert codec["frame_bytes"] < codec["pickle_bytes"], codec

@@ -33,12 +33,12 @@ with per-cell wall times, cache hit/miss counts, worker utilization,
 and a deterministic ``results`` section.
 
 Sweeps are fault tolerant and resumable: ``--retries``/``--timeout``
-(or an armed ``REPRO_CHAOS``) route cells through the fault-tolerant
-executor — crashed or hung workers are retried with backoff, and cells
-that keep failing are quarantined (exit code 3, partial artifact)
-instead of aborting the sweep. ``sweep --resume`` restarts a killed
-sweep against the same ``--cache-dir``: completed cells replay from
-the cache and only the remainder re-executes. ``bench`` can snapshot
+(or an armed ``REPRO_CHAOS``) give the grid executor a retry policy —
+crashed or hung workers are replaced and their cells retried with
+backoff, and cells that keep failing are quarantined (exit code 3,
+partial artifact) instead of aborting the sweep. ``sweep --resume``
+restarts a killed sweep against the same ``--cache-dir``: completed
+cells replay from the cache and only the remainder re-executes. ``bench`` can snapshot
 the whole simulated machine every N driver steps
 (``--checkpoint-every``) and continue from a snapshot
 (``--resume-from``) with bit-identical results; ``lifetime`` does the
@@ -580,10 +580,11 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_fault_tolerance_arguments(parser: argparse.ArgumentParser) -> None:
-    """Shared fault-tolerant-executor knobs for grid-running subcommands.
+    """Shared fault-tolerance knobs for grid-running subcommands.
 
-    Any of these (or an armed ``REPRO_CHAOS``) routes uncached cells
-    through :mod:`repro.sim.ftexec` instead of the plain pool.
+    Any of these (or an armed ``REPRO_CHAOS``) gives the grid executor
+    (:func:`repro.sim.parallel.run_cells`) a retry policy; without one
+    the first failed cell aborts the sweep.
     """
     parser.add_argument(
         "--retries",
@@ -592,7 +593,8 @@ def _add_fault_tolerance_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="N",
         help="attempts per cell before quarantine (default: "
         f"{RetryPolicy().max_attempts} once fault tolerance is engaged; "
-        "1 = quarantine on first failure)",
+        "1 = quarantine on first failure; without any fault-tolerance "
+        "flag the first failed cell aborts the sweep)",
     )
     parser.add_argument(
         "--retry-delay",
@@ -612,10 +614,10 @@ def _add_fault_tolerance_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_retry_policy(args) -> Optional[RetryPolicy]:
-    """The executor policy implied by the flags, or None (plain pool).
+    """The retry policy implied by the flags, or None (fail fast).
 
-    An armed ``REPRO_CHAOS`` also engages the executor: injected worker
-    deaths would hang or abort a plain ``multiprocessing.Pool``.
+    An armed ``REPRO_CHAOS`` also engages a policy: without one, the
+    first injected worker death would abort the sweep.
     """
     chaos_armed = ChaosConfig.from_env() is not None
     if args.retries is None and args.retry_delay is None and not (
@@ -1061,7 +1063,7 @@ def _run_traced_sweep(args, grid: List[RunConfig]):
     Worker processes and the disk cache cannot carry trace events, so
     the traced path runs every cell inline; the SweepStats record is
     assembled by hand to keep the BENCH_sweep.json artifact identical
-    in shape to the pooled path.
+    in shape to the worker path.
     """
     from .obs.export import write_chrome_trace
     from .sim.parallel import CellTiming, SweepStats, _describe
@@ -1175,18 +1177,9 @@ def cmd_report(args) -> int:
         f"{len(report['quarantined'])} quarantined, "
         f"waste {report['waste_s']:.2f}s"
     )
-    transport = report.get("transport", {})
-    if transport.get("result_bytes") or transport.get("pickle_bytes"):
-        moved = transport["result_bytes"]
-        pickled = transport["pickle_bytes"]
-        line = f"transport     {moved / 1024:.1f} KiB moved"
-        if pickled > moved:
-            line += (
-                f" (pickle would have moved {pickled / 1024:.1f} KiB; "
-                f"saved {transport['saved_bytes'] / 1024:.1f} KiB, "
-                f"{1 - moved / pickled:.0%})"
-            )
-        obslog.out(line)
+    moved = report.get("transport", {}).get("result_bytes", 0)
+    if moved:
+        obslog.out(f"transport     {moved / 1024:.1f} KiB moved over worker pipes")
     obslog.out(f"workers       {len(report['workers'])} process(es)")
     if report["slowest_cells"]:
         obslog.out(f"slowest cells (top {len(report['slowest_cells'])})")
@@ -1550,14 +1543,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     # a bad value) so a typo'd REPRO_KERNELS=refrence produces a usage
     # error here — exit 2 — instead of a bare import-time traceback.
     from .heap.line_table import validate_kernel_mode
-    from .sim.transport import validate_transport_mode
 
-    for validate in (validate_kernel_mode, validate_transport_mode):
-        try:
-            validate()
-        except ValueError as exc:
-            obslog.warn(f"usage: {exc}")
-            return 2
+    try:
+        validate_kernel_mode()
+    except ValueError as exc:
+        obslog.warn(f"usage: {exc}")
+        return 2
     handlers = {
         "figures": cmd_figures,
         "sweep": cmd_sweep,

@@ -82,6 +82,15 @@ class ChaosError(ReproError):
     """
 
 
+class WorkerError(ReproError):
+    """A grid cell failed in a worker and no retry policy absorbs it.
+
+    Raised by :func:`repro.sim.parallel.run_grid` when a worker dies or
+    a cell raises while the sweep runs without ``retry``/``timeout_s``/
+    ``chaos``. The message names the cell and the original failure.
+    """
+
+
 class HeapAuditError(ReproError):
     """The cross-layer heap auditor found an invariant violation.
 

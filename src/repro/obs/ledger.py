@@ -2,9 +2,9 @@
 
 PR 3's tracer measures *simulated* time inside one process; this
 module records where the harness spends its *real* wall-clock time
-across every process a sweep touches. The parent (:func:`run_grid`),
-each pool worker, and every fault-tolerant attempt append typed events
-to one shared JSONL file — schema ``repro.ledger/1`` — via
+across every process a sweep touches. The parent (:func:`run_grid`)
+and each of its workers append typed events to one shared JSONL
+file — schema ``repro.ledger/1`` — via
 :func:`repro.ioutil.append_jsonl`, whose single-``write`` ``O_APPEND``
 discipline makes concurrent appends safe without a lock.
 
@@ -310,7 +310,7 @@ PHASES = (
     "simulate",      # successful attempts' in-worker wall time
     "cache",         # lookups + stores in the parent
     "queue",         # dispatch -> first attempt_start gap
-    "collect",       # attempt_end -> parent collect gap (IPC + spool)
+    "collect",       # attempt_end -> parent collect gap (pipe + unpickle)
     "retry_wait",    # backoff the executor deliberately waited out
     "retry_waste",   # failed attempts' wall time (error/crash/timeout)
 )
@@ -333,7 +333,7 @@ def aggregate(events: Sequence[Dict[str, Any]], top: int = 10) -> Dict[str, Any]
     intervals: List[Tuple[float, float]] = []
 
     if end is not None:
-        # Pool wind-down, measured by the parent and stamped on the
+        # Worker wind-down, measured by the parent and stamped on the
         # terminal record; counts as collection overhead.
         teardown = float(end.get("teardown_s", 0.0))
         if teardown > 0:
@@ -349,7 +349,6 @@ def aggregate(events: Sequence[Dict[str, Any]], top: int = 10) -> Dict[str, Any]
     cache_misses = 0
     retries = 0
     result_bytes = 0
-    pickle_bytes = 0
     quarantined: List[Dict[str, Any]] = []
     worker_pids = set()
 
@@ -401,7 +400,6 @@ def aggregate(events: Sequence[Dict[str, Any]], top: int = 10) -> Dict[str, Any]
             record["workload"] = event.get("workload", record["workload"])
             record["wall_s"] = float(event.get("wall_s", 0.0))
             result_bytes += int(event.get("result_bytes", 0))
-            pickle_bytes += int(event.get("pickle_bytes", 0))
             if index in end_t:
                 phases["collect"] += max(0.0, t - end_t[index])
             if index in dispatch_t:
@@ -410,7 +408,7 @@ def aggregate(events: Sequence[Dict[str, Any]], top: int = 10) -> Dict[str, Any]
             retries += 1
             phases["retry_wait"] += float(event.get("wait_s", 0.0))
         elif ev in (TIMEOUT, CRASH):
-            # The attempt died without spooling an attempt_end; the
+            # The attempt died without writing an attempt_end; the
             # parent measured how long it was allowed to run.
             phases["retry_waste"] += float(event.get("wall_s", 0.0))
         elif ev == QUARANTINE:
@@ -462,11 +460,7 @@ def aggregate(events: Sequence[Dict[str, Any]], top: int = 10) -> Dict[str, Any]
         },
         "retries": retries,
         "quarantined": quarantined,
-        "transport": {
-            "result_bytes": result_bytes,
-            "pickle_bytes": pickle_bytes,
-            "saved_bytes": max(0, pickle_bytes - result_bytes),
-        },
+        "transport": {"result_bytes": result_bytes},
         "waste_s": phases["retry_waste"] + phases["retry_wait"],
         "workers": sorted(pid for pid in worker_pids if pid is not None),
         "slowest_cells": [

@@ -1,7 +1,7 @@
 """``repro serve``: a long-running shared-cache experiment service.
 
 Many clients, one warm simulation farm: plans POSTed by concurrent
-clients run through one job queue, one fault-tolerant worker pool, and
+clients run through one job queue, one grid executor, and
 one content-addressed result cache, so identical cells are simulated
 exactly once no matter how many clients ask. See
 :mod:`repro.serve.protocol` for the wire format,

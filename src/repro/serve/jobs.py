@@ -1,8 +1,8 @@
-"""Job queue of the experiment service: one shared cache, one pool.
+"""Job queue of the experiment service: one shared cache, one executor.
 
 Submissions become :class:`Job` records processed by a single worker
-thread, one job at a time, each fanned out over the same
-:func:`~repro.sim.parallel.run_grid` worker pool and the same
+thread, one job at a time, each fanned out through
+:func:`~repro.sim.parallel.run_grid` over the same
 :class:`~repro.sim.cache.ResultCache` directory. That pairing is what
 makes concurrent clients cheap: jobs serialize at the queue, so by the
 time the second submission of an identical plan runs, every cell is
@@ -10,10 +10,10 @@ already on disk and replays as a cache hit — each distinct cell is
 simulated exactly once no matter how many clients ask for it
 (WoLFRaM's shared-remapping-state shape: many writers, one store).
 
-Execution reuses the offline machinery unchanged — the same
-fault-tolerant executor, retry policy, and quarantine semantics as
-``sweep --plan`` — so a job's ``results`` section is bit-identical to
-running its plan offline.
+Execution reuses the offline machinery unchanged — the same persistent
+workers, retry policy, and quarantine semantics as ``sweep --plan`` —
+so a job's ``results`` section is bit-identical to running its plan
+offline.
 """
 
 from __future__ import annotations
@@ -347,7 +347,7 @@ class JobManager:
         wall = record.get("wall_s")
         if ev == COLLECT:
             self._counter(
-                CELLS_EXECUTED_TOTAL, "uncached cells the pool executed"
+                CELLS_EXECUTED_TOTAL, "uncached cells the workers executed"
             ).inc()
             if isinstance(wall, (int, float)):
                 self.registry.histogram(

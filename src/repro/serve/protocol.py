@@ -131,7 +131,7 @@ def validate_submission(document: Any) -> None:
 
 
 def describe_retry(policy: Optional[Any]) -> Optional[Dict[str, Any]]:
-    """JSON view of a RetryPolicy for /healthz (None = plain pool)."""
+    """JSON view of a RetryPolicy for /healthz (None = fail fast)."""
     if policy is None:
         return None
     return {

@@ -1,9 +1,10 @@
 """Deterministic fault injection for sweep workers (the chaos harness).
 
-The fault-tolerant executor (:mod:`repro.sim.ftexec`) promises that a
-sweep survives worker deaths; this module manufactures those deaths on
-demand so the promise is testable — in unit tests and in the CI
-chaos-smoke job — without ever touching production code paths.
+The grid executor (:func:`repro.sim.parallel.run_cells`) promises that
+a sweep with a retry policy survives worker deaths; this module
+manufactures those deaths on demand so the promise is testable — in
+unit tests and in the CI chaos-smoke job — without ever touching
+production code paths.
 
 Injection is **deterministic**: whether attempt ``a`` of cell ``i``
 dies is a pure function of (seed, i, a). Retried attempts therefore
@@ -13,8 +14,8 @@ the chaos tests assert *bit-identical results* rather than "usually
 works".
 
 Activation is explicit only: either a :class:`ChaosConfig` handed to
-the executor, or the ``REPRO_CHAOS`` environment variable (read in the
-worker process), formatted ``mode:probability[:seed]`` — e.g.
+the executor, or the ``REPRO_CHAOS`` environment variable (read once a
+retry policy is in force), formatted ``mode:probability[:seed]`` — e.g.
 ``kill:0.4`` or ``raise:0.25:7``. Unset means fully disabled.
 """
 

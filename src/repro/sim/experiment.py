@@ -73,8 +73,8 @@ class ExperimentRunner:
     callers should keep ``jobs=1``; the in-memory memo still guarantees
     each unique cell is traced exactly once.
 
-    ``retry``/``timeout_s`` route prefetch fan-outs through the
-    fault-tolerant executor (:mod:`repro.sim.ftexec`). Cells it
+    ``retry``/``timeout_s`` give prefetch fan-outs a retry policy in
+    the grid executor (:func:`repro.sim.parallel.run_cells`). Cells it
     quarantines simply stay unmemoized; aggregation then re-runs them
     inline via :meth:`run_one` — a serial in-process last resort, so a
     figure still completes after persistent worker trouble.
@@ -145,8 +145,8 @@ class ExperimentRunner:
         (aggregation may early-exit and skip cells).
         """
         if self.tracer_factory is not None:
-            # Traced cells must run through run_one (the pool and the
-            # disk cache would both lose the events).
+            # Traced cells must run through run_one (worker processes
+            # and the disk cache would both lose the events).
             return None
         if self.jobs <= 1 and self.cache is None:
             return None
@@ -174,7 +174,7 @@ class ExperimentRunner:
             profile_dir=self.profile_dir,
         )
         # Key by the result's own config, not by zipping against
-        # `expanded`: the fault-tolerant path may quarantine cells, and
+        # `expanded`: a retry policy may quarantine cells, and
         # a positional zip would then memoize results under the wrong
         # configs.
         for result in results:

@@ -1,85 +1,55 @@
-"""Fault-tolerant execution of grid cells: retry, backoff, quarantine.
+"""Fault-tolerance vocabulary of the grid executor: retry, time, report.
 
-The plain pool in :mod:`repro.sim.parallel` is fast but brittle — one
-worker death (OOM-killer, preempted node, plain SIGKILL) aborts the
-whole sweep and discards every in-flight cell. This module trades a
-little overhead for survival, using one **process per attempt**:
+The executor itself lives in :mod:`repro.sim.parallel`; this module
+holds the pieces it is configured and observed with:
 
-* each attempt writes its result to a private spool file (atomically),
-  so the parent can always tell "finished" from "died mid-cell";
-* a missing or torn spool plus a nonzero exit code is a *crash*
-  (``-SIGKILL`` is detected specifically), an in-worker exception is an
-  *error*, and an attempt exceeding the per-cell budget is a *timeout*
-  (the parent terminates, then kills, the straggler);
-* every failure is retried with exponential backoff and deterministic
-  jitter — :meth:`RetryPolicy.delay` is a pure function of (seed, cell,
-  attempt), so scheduling is reproducible and unit-testable;
-* a cell that fails ``max_attempts`` times is **quarantined**: the
-  sweep completes without it and reports the partial result instead of
-  aborting (the Heterogeneous-Reliability stance — degrade, don't die).
-
-Time is injectable: the executor only ever reads the clock through a
-:class:`Clock`, so the retry/backoff/timeout policy is tested against
-:class:`FakeClock` with zero wall-clock sleeps in CI.
+* :class:`RetryPolicy` — bounded retries with exponential backoff and
+  deterministic jitter. :meth:`RetryPolicy.delay` is a pure function of
+  (seed, cell, attempt), so scheduling is reproducible and
+  unit-testable. A cell that fails ``max_attempts`` times is
+  **quarantined**: the sweep completes without it and reports the
+  partial result instead of aborting (the Heterogeneous-Reliability
+  stance — degrade, don't die).
+* :class:`MonotonicClock` / :class:`FakeClock` — injectable time. The
+  executor reads the clock and blocks on its workers only through
+  ``now()`` and ``wait(handles, timeout)``, so backoff and timeouts are
+  tested against :class:`FakeClock` with zero wall-clock sleeps.
+* :class:`FaultToleranceReport` — what a sweep survived: retries,
+  timeouts, worker crashes and errors, and the quarantined cells.
 """
 
 from __future__ import annotations
 
-import json
-import multiprocessing
-import os
 import random
-import signal
-import struct
-import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from multiprocessing.connection import wait as _wait_handles
+from typing import List, Optional, Sequence
 
 from ..errors import ConfigError
-from ..obs.ledger import (
-    ATTEMPT_END,
-    ATTEMPT_START,
-    COLLECT,
-    CRASH,
-    DISPATCH,
-    PROFILE,
-    QUARANTINE,
-    RETRY,
-    TIMEOUT,
-    SweepLedger,
-    worker_emit,
-)
-from ..obs.profile import profile_call
-from ..obs.profile import spool_path as _profile_spool_path
-from ..runtime.time_model import CostModel
-from .chaos import ChaosConfig, maybe_injure
-from .machine import RunConfig, RunResult, run_benchmark
-from .transport import decode_attempt, encode_attempt, is_frame, use_spool_transport
-
-#: Parent poll granularity while attempts are in flight (real seconds).
-POLL_INTERVAL_S = 0.02
 
 
 # ----------------------------------------------------------------------
 # Injectable time
 # ----------------------------------------------------------------------
 class MonotonicClock:
-    """Wall time for production: ``time.monotonic`` + ``time.sleep``."""
+    """Wall time for production: ``time.monotonic`` + a real wait."""
 
     def now(self) -> float:
         return time.monotonic()
 
-    def sleep(self, seconds: float) -> None:
-        if seconds > 0:
-            time.sleep(seconds)
+    def wait(self, handles: Sequence, timeout: Optional[float]) -> list:
+        """Block until a handle is ready or ``timeout`` seconds pass."""
+        return _wait_handles(handles, timeout)
 
 
 class FakeClock:
     """Deterministic time for tests: sleeping *is* advancing.
 
     Records every sleep so tests can assert the executor's pacing
-    (backoff waits, poll cadence) without a single wall-clock stall.
+    (backoff waits) without a single wall-clock stall. :meth:`wait`
+    polls the handles; if none is ready and a timeout was asked for,
+    the timeout is slept on fake time instead of real time.
     """
 
     def __init__(self, start: float = 0.0) -> None:
@@ -95,6 +65,14 @@ class FakeClock:
 
     def advance(self, seconds: float) -> None:
         self._now += seconds
+
+    def wait(self, handles: Sequence, timeout: Optional[float]) -> list:
+        if timeout is None:
+            return _wait_handles(handles)  # nothing to time: wait for work
+        ready = _wait_handles(handles, 0)
+        if not ready:
+            self.sleep(timeout)
+        return ready
 
 
 # ----------------------------------------------------------------------
@@ -193,348 +171,3 @@ class FaultToleranceReport:
             "worker_errors": self.worker_errors,
             "quarantined": [cell.to_dict() for cell in self.quarantined],
         }
-
-
-# ----------------------------------------------------------------------
-# Worker side
-# ----------------------------------------------------------------------
-def _attempt_worker(
-    config: RunConfig,
-    cost_model: CostModel,
-    spool_path: str,
-    cell_index: int,
-    attempt: int,
-    chaos: Optional[ChaosConfig],
-    ledger_path: Optional[str] = None,
-    profile_dir: Optional[str] = None,
-) -> None:
-    """One attempt at one cell, result spooled atomically.
-
-    The chaos hook fires after dispatch, so from the parent's view the
-    worker dies mid-cell; an exception (chaos or real) is spooled as an
-    error record so the parent can distinguish it from a silent crash.
-
-    With a ``ledger_path``, the attempt brackets itself with
-    ``attempt_start``/``attempt_end`` flight-recorder events (a killed
-    worker leaves only the start — the parent's ``crash`` event closes
-    the story). ``profile_dir`` arms cProfile around the benchmark.
-    """
-    from .cache import result_to_dict  # local: avoids import cycle at fork
-
-    if chaos is None:
-        chaos = ChaosConfig.from_env()
-    worker_emit(
-        ledger_path,
-        ATTEMPT_START,
-        cell=cell_index,
-        attempt=attempt,
-        workload=config.workload,
-    )
-    started = time.perf_counter()
-    try:
-        maybe_injure(chaos, cell_index, attempt)
-        if profile_dir is not None:
-            prof = _profile_spool_path(profile_dir, cell_index, attempt)
-            result = profile_call(prof, run_benchmark, config, cost_model)
-            worker_emit(
-                ledger_path, PROFILE, cell=cell_index, attempt=attempt, spool=prof
-            )
-        else:
-            result = run_benchmark(config, cost_model)
-        wall_s = time.perf_counter() - started
-        if use_spool_transport():
-            # Successful attempts spool the compact binary frame; the
-            # parent sniffs the magic. Failure records stay JSON — they
-            # carry free-form error text, not a RunResult.
-            spooled = encode_attempt(result, wall_s)
-        else:
-            spooled = json.dumps(
-                {"ok": True, "result": result_to_dict(result), "wall_s": wall_s}
-            ).encode()
-        ok = True
-    except BaseException as exc:  # spooled, classified by the parent
-        wall_s = time.perf_counter() - started
-        spooled = json.dumps(
-            {"ok": False, "error": f"{type(exc).__name__}: {exc}", "wall_s": wall_s}
-        ).encode()
-        ok = False
-    worker_emit(
-        ledger_path,
-        ATTEMPT_END,
-        cell=cell_index,
-        attempt=attempt,
-        ok=ok,
-        wall_s=wall_s,
-        workload=config.workload,
-    )
-    directory = os.path.dirname(spool_path)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(spooled)
-        os.replace(tmp, spool_path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-# ----------------------------------------------------------------------
-# Parent side
-# ----------------------------------------------------------------------
-class _Attempt:
-    __slots__ = ("process", "spool", "index", "config", "attempt", "started")
-
-    def __init__(self, process, spool, index, config, attempt, started) -> None:
-        self.process = process
-        self.spool = spool
-        self.index = index
-        self.config = config
-        self.attempt = attempt
-        self.started = started
-
-
-def run_cells_fault_tolerant(
-    pending: Sequence[Tuple[int, RunConfig]],
-    cost_model: CostModel,
-    jobs: int,
-    policy: RetryPolicy,
-    timeout_s: Optional[float] = None,
-    clock: Optional["MonotonicClock"] = None,
-    progress: Optional[Callable[[str], None]] = None,
-    chaos: Optional[ChaosConfig] = None,
-    describe: Optional[Callable[[RunConfig], str]] = None,
-    ledger: Optional[SweepLedger] = None,
-    profile_dir: Optional[str] = None,
-) -> Tuple[List[Tuple[int, RunResult, float]], FaultToleranceReport]:
-    """Run every cell to completion or quarantine; never aborts the sweep.
-
-    Returns completions as ``(index, result, wall_s)`` in arbitrary
-    order (the caller re-sorts by index) plus the survival report.
-    ``chaos`` is only ever armed by tests and the CI chaos-smoke job.
-
-    With a ``ledger``, the parent records dispatch/collect plus every
-    retry, timeout, crash and quarantine as flight-recorder events;
-    attempt processes append their own start/end records to the
-    ledger's file. ``profile_dir`` arms per-attempt cProfile spools.
-    """
-    clock = clock or MonotonicClock()
-    describe = describe or (lambda config: repr(config))
-    report = FaultToleranceReport()
-    completions: List[Tuple[int, RunResult, float]] = []
-    jobs = max(1, jobs)
-    ledger_path = ledger.path if ledger is not None else None
-
-    def _emit(ev: str, **fields) -> None:
-        if ledger is not None:
-            ledger.emit(ev, **fields)
-
-    ready: List[Tuple[int, RunConfig, int]] = [
-        (index, config, 1) for index, config in pending
-    ]
-    ready.reverse()  # pop() serves cells in input order
-    delayed: List[Tuple[float, int, RunConfig, int]] = []
-    failures: Dict[int, List[str]] = {}
-    running: List[_Attempt] = []
-    context = multiprocessing.get_context()
-
-    def fail(attempt: _Attempt, kind: str, detail: str) -> None:
-        history = failures.setdefault(attempt.index, [])
-        history.append(f"attempt {attempt.attempt}: {kind}: {detail}")
-        if attempt.attempt >= policy.max_attempts:
-            report.quarantined.append(
-                QuarantinedCell(
-                    index=attempt.index,
-                    workload=attempt.config.workload,
-                    description=describe(attempt.config),
-                    attempts=attempt.attempt,
-                    failures=list(history),
-                )
-            )
-            _emit(
-                QUARANTINE,
-                cell=attempt.index,
-                workload=attempt.config.workload,
-                attempts=attempt.attempt,
-                kind=kind,
-            )
-            if progress is not None:
-                progress(
-                    f"QUARANTINED {attempt.config.workload} "
-                    f"{describe(attempt.config)} after "
-                    f"{attempt.attempt} attempts ({kind})"
-                )
-            return
-        report.retries += 1
-        next_attempt = attempt.attempt + 1
-        wait = policy.delay(attempt.index, next_attempt)
-        delayed.append(
-            (clock.now() + wait, attempt.index, attempt.config, next_attempt)
-        )
-        _emit(
-            RETRY,
-            cell=attempt.index,
-            workload=attempt.config.workload,
-            attempt=next_attempt,
-            wait_s=wait,
-            kind=kind,
-        )
-        if progress is not None:
-            progress(
-                f"retrying {attempt.config.workload} "
-                f"{describe(attempt.config)} ({kind}; "
-                f"attempt {next_attempt}/{policy.max_attempts} "
-                f"in {wait:.2f}s)"
-            )
-
-    def reap(attempt: _Attempt) -> None:
-        """Attempt's process has exited; classify the outcome."""
-        exitcode = attempt.process.exitcode
-        payload = None
-        frame = None
-        result_bytes = 0
-        try:
-            with open(attempt.spool, "rb") as handle:
-                data = handle.read()
-            result_bytes = len(data)
-            if is_frame(data):
-                frame = decode_attempt(data)
-            else:
-                payload = json.loads(data.decode())
-        except (OSError, ValueError, struct.error):
-            payload = frame = None  # died before (or while) spooling
-        finally:
-            try:
-                os.unlink(attempt.spool)
-            except OSError:
-                pass
-        if frame is not None:
-            result, wall = frame
-            completions.append((attempt.index, result, wall))
-            _emit(
-                COLLECT,
-                cell=attempt.index,
-                workload=attempt.config.workload,
-                wall_s=wall,
-                result_bytes=result_bytes,
-            )
-            return
-        if payload is not None and payload.get("ok"):
-            from .cache import result_from_dict
-
-            wall = float(payload.get("wall_s", 0.0))
-            completions.append(
-                (attempt.index, result_from_dict(payload["result"]), wall)
-            )
-            _emit(
-                COLLECT,
-                cell=attempt.index,
-                workload=attempt.config.workload,
-                wall_s=wall,
-                result_bytes=result_bytes,
-            )
-            return
-        if payload is not None:
-            report.worker_errors += 1
-            fail(attempt, "error", payload.get("error", "unknown error"))
-            return
-        report.worker_crashes += 1
-        if exitcode == -signal.SIGKILL:
-            detail = "killed (SIGKILL)"
-        elif exitcode is not None and exitcode < 0:
-            detail = f"terminated by signal {-exitcode}"
-        else:
-            detail = f"exit code {exitcode}, no result spooled"
-        _emit(
-            CRASH,
-            cell=attempt.index,
-            attempt=attempt.attempt,
-            wall_s=max(0.0, clock.now() - attempt.started),
-            detail=detail,
-        )
-        fail(attempt, "crash", detail)
-
-    with tempfile.TemporaryDirectory(prefix="repro-ftexec-") as spool_dir:
-        serial = 0
-        while ready or delayed or running:
-            now = clock.now()
-            # Promote delayed retries whose backoff has elapsed.
-            if delayed:
-                due = [item for item in delayed if item[0] <= now]
-                if due:
-                    delayed[:] = [item for item in delayed if item[0] > now]
-                    for _, index, config, attempt_no in sorted(due):
-                        ready.append((index, config, attempt_no))
-            # Fill free worker slots.
-            while ready and len(running) < jobs:
-                index, config, attempt_no = ready.pop()
-                spool = os.path.join(spool_dir, f"cell-{index}-{serial}.json")
-                serial += 1
-                if attempt_no == 1:
-                    _emit(DISPATCH, cell=index, workload=config.workload)
-                process = context.Process(
-                    target=_attempt_worker,
-                    args=(
-                        config,
-                        cost_model,
-                        spool,
-                        index,
-                        attempt_no,
-                        chaos,
-                        ledger_path,
-                        profile_dir,
-                    ),
-                    daemon=True,
-                )
-                process.start()
-                running.append(
-                    _Attempt(process, spool, index, config, attempt_no, now)
-                )
-            if not running:
-                # Everything is waiting out a backoff: jump to the next
-                # due time instead of spinning.
-                clock.sleep(max(0.0, min(item[0] for item in delayed) - now))
-                continue
-            # Reap exits and enforce timeouts.
-            still_running: List[_Attempt] = []
-            reaped = False
-            for attempt in running:
-                if attempt.process.exitcode is not None:
-                    attempt.process.join()
-                    reap(attempt)
-                    reaped = True
-                elif (
-                    timeout_s is not None
-                    and clock.now() - attempt.started > timeout_s
-                ):
-                    attempt.process.terminate()
-                    attempt.process.join(1.0)
-                    if attempt.process.exitcode is None:
-                        attempt.process.kill()
-                        attempt.process.join()
-                    report.timeouts += 1
-                    try:
-                        os.unlink(attempt.spool)
-                    except OSError:
-                        pass
-                    _emit(
-                        TIMEOUT,
-                        cell=attempt.index,
-                        attempt=attempt.attempt,
-                        wall_s=max(0.0, clock.now() - attempt.started),
-                    )
-                    fail(
-                        attempt,
-                        "timeout",
-                        f"exceeded {timeout_s:.1f}s cell budget",
-                    )
-                    reaped = True
-                else:
-                    still_running.append(attempt)
-            running = still_running
-            if not reaped:
-                clock.sleep(POLL_INTERVAL_S)
-
-    return completions, report

@@ -20,7 +20,6 @@ divergence.
 
 from __future__ import annotations
 
-import pickle
 import random
 import sys
 from time import perf_counter
@@ -37,7 +36,6 @@ from ..heap.page_supply import HeapPage
 from ..osim.failure_table import FailureTable
 from .cache import result_to_dict
 from .machine import RunConfig, min_heap_bytes, run_benchmark
-from .transport import decode_result, encode_result
 
 SCHEMA = "repro-kernel-bench/v1"
 
@@ -471,38 +469,6 @@ def _bench_kernels(iterations: int, seed: int) -> List[dict]:
         )
     )
 
-    # Result transport codec: one spool-frame round trip vs one pickle
-    # round trip of the same RunResult. Identity means both transports
-    # reconstruct the same serialized payload — the bit-identity the
-    # regression suite holds REPRO_RESULT_TRANSPORT to.
-    codec_result = run_benchmark(
-        RunConfig(
-            workload="luindex",
-            heap_multiplier=2.0,
-            failure_model=FailureModel(rate=0.25),
-            seed=seed,
-            scale=0.05,
-        )
-    )
-    frame = encode_result(codec_result)
-    pickled = pickle.dumps(codec_result, protocol=pickle.HIGHEST_PROTOCOL)
-    identical = (
-        result_to_dict(decode_result(frame))
-        == result_to_dict(pickle.loads(pickled))
-        == result_to_dict(codec_result)
-    )
-    codec_entry = _kernel_entry(
-        "result codec (spool frame vs pickle)",
-        lambda: decode_result(encode_result(codec_result)),
-        lambda: pickle.loads(
-            pickle.dumps(codec_result, protocol=pickle.HIGHEST_PROTOCOL)
-        ),
-        max(1, iterations // 2),
-        identical,
-    )
-    codec_entry["frame_bytes"] = len(frame)
-    codec_entry["pickle_bytes"] = len(pickled)
-    results.append(codec_entry)
     return results
 
 

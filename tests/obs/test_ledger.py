@@ -245,21 +245,12 @@ class TestAggregate:
         for event in events:
             if event["ev"] == COLLECT:
                 event["result_bytes"] = 1400
-                event["pickle_bytes"] = 1650
         report = aggregate(events)
-        assert report["transport"] == {
-            "result_bytes": 1400,
-            "pickle_bytes": 1650,
-            "saved_bytes": 250,
-        }
+        assert report["transport"] == {"result_bytes": 1400}
 
     def test_transport_defaults_to_zero(self):
         report = aggregate(synthetic_ledger())
-        assert report["transport"] == {
-            "result_bytes": 0,
-            "pickle_bytes": 0,
-            "saved_bytes": 0,
-        }
+        assert report["transport"] == {"result_bytes": 0}
 
     def test_unbounded_ledger_has_no_wall_or_coverage(self):
         events = [e for e in synthetic_ledger() if e["ev"] != SWEEP_END]

@@ -6,7 +6,8 @@ oracle is a set of golden ``RunResult`` dumps generated at the commit
 asserts today's simulator reproduces them byte-for-byte:
 
 * under both heap-kernel implementations (``REPRO_KERNELS`` contract),
-* through both result transports (spool frames and pickles),
+* through every executor shape (inline, forked workers, and forked
+  workers under a retry policy and timeout),
 * and — hypothesis-driven — at the serialization layer, where a config
   spelling the defaults explicitly must be indistinguishable from one
   that never mentions a policy (same dict, same cache key, no policy
@@ -22,13 +23,13 @@ from hypothesis import strategies as st
 
 from repro.faults.generator import FailureModel
 from repro.heap import line_table
-from repro.sim import transport
 from repro.sim.cache import (
     cache_key,
     config_from_dict,
     config_to_dict,
     result_to_dict,
 )
+from repro.sim.ftexec import RetryPolicy
 from repro.sim.machine import RunConfig, run_benchmark
 from repro.sim.parallel import run_grid
 
@@ -51,10 +52,8 @@ def golden_case(path):
 @pytest.fixture(autouse=True)
 def _restore_modes():
     kernel = line_table.kernel_mode()
-    trans = transport.transport_mode()
     yield
     line_table.set_kernel_mode(kernel)
-    transport.set_transport_mode(trans)
 
 
 @pytest.mark.parametrize("path", GOLDEN_FILES, ids=lambda p: p.stem)
@@ -76,11 +75,18 @@ def test_golden_reproduced_under_both_kernel_modes(kernels):
     assert canonical(run_benchmark(config)) == expected
 
 
-@pytest.mark.parametrize("mode", ["spool", "pickle"])
-def test_golden_reproduced_through_both_transports(mode):
+@pytest.mark.parametrize(
+    "shape",
+    [
+        {"jobs": 1},
+        {"jobs": 2},
+        {"jobs": 2, "retry": RetryPolicy(), "timeout_s": 600.0},
+    ],
+    ids=["inline", "workers", "fault-tolerant"],
+)
+def test_golden_reproduced_through_every_executor_shape(shape):
     config, expected = golden_case(GOLDEN_FILES[0])
-    transport.set_transport_mode(mode)
-    results, _stats = run_grid([config], jobs=2)
+    results, _stats = run_grid([config], **shape)
     assert len(results) == 1
     assert canonical(results[0]) == expected
 

@@ -1,4 +1,5 @@
-"""Tests for the fault-tolerant executor's policy machinery (sim/ftexec.py).
+"""Tests for the executor's fault-tolerance machinery (sim/ftexec.py
+types, driven through :func:`repro.sim.parallel.run_cells`).
 
 Everything time-dependent runs against :class:`FakeClock` — backoff,
 timeout, and quarantine behaviour is asserted without a single
@@ -16,9 +17,9 @@ from repro.sim.ftexec import (
     FaultToleranceReport,
     QuarantinedCell,
     RetryPolicy,
-    run_cells_fault_tolerant,
 )
 from repro.sim.machine import RunConfig
+from repro.sim.parallel import run_cells as run_cells_fault_tolerant
 
 
 def tiny_cells(n=2):

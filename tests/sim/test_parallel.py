@@ -1,8 +1,14 @@
 """Tests for the parallel grid executor (sim/parallel.py)."""
 
+import multiprocessing
+import os
+import signal
+
 import pytest
 
 from repro.faults.generator import FailureModel
+from repro.obs.ledger import SweepLedger, read_ledger
+from repro.sim import machine, parallel
 from repro.sim.cache import ResultCache
 from repro.sim.machine import RunConfig
 from repro.sim.parallel import SweepStats, default_jobs, run_grid
@@ -30,13 +36,22 @@ class TestRunGrid:
         assert stats.cells == len(grid)
         assert len(stats.timings) == len(grid)
 
-    def test_parallel_identical_to_serial(self):
+    def test_parallel_identical_to_serial(self, tmp_path):
         grid = small_grid()
-        serial, _ = run_grid(grid, jobs=1)
-        parallel, stats = run_grid(grid, jobs=4)
-        assert parallel == serial
-        assert [r.config for r in parallel] == grid
+        serial, serial_stats = run_grid(grid, jobs=1)
+        ledger = SweepLedger(str(tmp_path / "ledger.jsonl"))
+        pooled, stats = run_grid(grid, jobs=4, ledger=ledger)
+        assert pooled == serial
+        assert [r.config for r in pooled] == grid
         assert stats.jobs == 4
+        # Inline results never cross a pipe; pooled ones do.
+        assert serial_stats.result_bytes == 0
+        assert stats.result_bytes > 0
+        # Workers persist across cells: 8 cells, at most 4 processes.
+        events, problems = read_ledger(ledger.path)
+        assert problems == []
+        pids = {e["pid"] for e in events if e["ev"] == "attempt_start"}
+        assert 1 <= len(pids) <= 4
 
     def test_progress_called_per_cell(self):
         messages = []
@@ -97,3 +112,46 @@ class TestSweepStats:
         assert a.cells == 4
         assert len(a.timings) == 4
         assert [t.index for t in a.timings] == [0, 1, 2, 3]
+
+
+def _kill_on_seed_one(config, cost_model=machine.DEFAULT_COST_MODEL):
+    if config.seed == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return machine.run_benchmark(config, cost_model)
+
+
+class TestWorkerDeath:
+    def test_death_without_retry_raises_naming_the_cell(self, monkeypatch):
+        # Forked workers inherit the patch: the worker running seed 1
+        # SIGKILLs itself mid-cell. With no retry policy run_grid must
+        # fail fast, naming that cell, instead of waiting forever for
+        # a result that will never come. The grid runs in a child (its
+        # own process group) so a hang fails this test, not the suite.
+        monkeypatch.setattr(parallel, "run_benchmark", _kill_on_seed_one)
+        grid = [
+            RunConfig(workload="luindex", scale=0.05, seed=seed,
+                      failure_model=FailureModel())
+            for seed in range(4)
+        ]
+        context = multiprocessing.get_context("fork")
+        receiver, sender = context.Pipe(duplex=False)
+
+        def child():
+            os.setpgrp()
+            try:
+                run_grid(grid, jobs=2)
+                sender.send("run_grid returned")
+            except Exception as exc:
+                sender.send(f"{type(exc).__name__}: {exc}")
+
+        process = context.Process(target=child)
+        process.start()
+        sender.close()
+        answered = receiver.poll(30)
+        if not answered:
+            os.killpg(process.pid, signal.SIGKILL)
+        process.join()
+        assert answered, "run_grid hung after a worker was SIGKILLed"
+        message = receiver.recv()
+        assert message.startswith("WorkerError: cell 1 (luindex "), message
+        assert "killed (SIGKILL)" in message

@@ -1,212 +1,14 @@
-"""Zero-pickle result transport tests (sim/transport.py).
+"""Result transport tests for the inline path of the grid executor.
 
-The spool transport must be invisible: results that travelled as
-spool-file frames are bit-identical to results that travelled as
-pickles — through the codec alone, through the parallel pool, and
-through the fault-tolerant executor. Hypothesis drives the frame codec
-across the RunResult field space; the mode switch mirrors the
-``REPRO_KERNELS`` contract (lazy validation, CLI exit 2 on a typo).
+Pooled results cross the worker pipe as pickles; inline results
+(``jobs=1``) never leave the process. The inline path must move no
+result bytes and must reproduce itself bit for bit from run to run.
 """
 
-import pickle
-
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from repro.faults.generator import FailureModel
-from repro.runtime.time_model import DEFAULT_COST_MODEL
-from repro.sim import transport
 from repro.sim.cache import result_to_dict
-from repro.sim.ftexec import RetryPolicy, run_cells_fault_tolerant
-from repro.sim.machine import RunConfig, RunResult, run_benchmark
+from repro.sim.machine import RunConfig
 from repro.sim.parallel import run_grid
-from repro.sim.transport import (
-    MAGIC,
-    SpoolReader,
-    SpoolWriter,
-    decode_attempt,
-    decode_result,
-    encode_attempt,
-    encode_result,
-    is_frame,
-    pickled_size,
-    set_transport_mode,
-    use_spool_transport,
-    validate_transport_mode,
-)
-
-
-@pytest.fixture(autouse=True)
-def _restore_transport_mode():
-    previous = transport.transport_mode()
-    yield
-    transport._transport_mode = previous
-
-
-def real_result():
-    return run_benchmark(
-        RunConfig(
-            workload="luindex",
-            scale=0.05,
-            seed=0,
-            failure_model=FailureModel(rate=0.1),
-        )
-    )
-
-
-finite = st.floats(allow_nan=False, allow_infinity=False)
-sizes = st.integers(min_value=-(2**40), max_value=2**40)
-
-
-def synthetic_results():
-    config = st.builds(
-        RunConfig,
-        workload=st.sampled_from(["luindex", "antlr"]),
-        heap_multiplier=st.floats(min_value=1.0, max_value=8.0, allow_nan=False),
-        seed=st.integers(min_value=0, max_value=2**31),
-        scale=st.floats(min_value=0.01, max_value=1.0, allow_nan=False),
-        failure_model=st.builds(
-            FailureModel,
-            rate=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-        ),
-    )
-    json_scalars = st.one_of(
-        st.integers(min_value=-(2**40), max_value=2**40), finite, st.text(max_size=12)
-    )
-    return st.builds(
-        RunResult,
-        config=config,
-        completed=st.booleans(),
-        time_units=finite,
-        time_ms=finite,
-        stats=st.dictionaries(st.text(max_size=12), json_scalars, max_size=5),
-        heap_bytes=sizes,
-        min_heap_bytes=sizes,
-        perfect_page_demand=sizes,
-        borrowed_pages=sizes,
-        full_gc_pause_ms=finite,
-        failure_note=st.text(max_size=30),
-        phase_breakdown=st.one_of(
-            st.none(), st.dictionaries(st.text(max_size=8), finite, max_size=4)
-        ),
-    )
-
-
-class TestCodec:
-    def test_round_trip_is_bit_identical(self):
-        result = real_result()
-        decoded = decode_result(encode_result(result))
-        assert result_to_dict(decoded) == result_to_dict(result)
-        assert decoded.config == result.config
-        # The frame moves fewer bytes than the pickle it replaces.
-        assert len(encode_result(result)) < pickled_size(result)
-
-    @settings(max_examples=40, deadline=None)
-    @given(result=synthetic_results())
-    def test_round_trip_any_result(self, result):
-        decoded = decode_result(encode_result(result))
-        assert result_to_dict(decoded) == result_to_dict(result)
-        # Doubles pass through the fixed header bit-exactly.
-        assert decoded.time_units == result.time_units
-        assert decoded.time_ms == result.time_ms
-        assert decoded.full_gc_pause_ms == result.full_gc_pause_ms
-
-    def test_attempt_round_trip(self):
-        result = real_result()
-        record = encode_attempt(result, 1.25)
-        assert is_frame(record)
-        decoded, wall_s = decode_attempt(record)
-        assert wall_s == 1.25
-        assert result_to_dict(decoded) == result_to_dict(result)
-
-    def test_bad_magic_rejected(self):
-        with pytest.raises(ValueError):
-            decode_result(b"JUNK" + bytes(64))
-        assert not is_frame(b"{\"ok\": true}")
-
-    def test_bad_version_rejected(self):
-        frame = bytearray(encode_result(real_result()))
-        frame[4] = 99
-        with pytest.raises(ValueError):
-            decode_result(bytes(frame))
-
-    def test_truncated_frame_rejected(self):
-        frame = encode_result(real_result())
-        with pytest.raises(ValueError):
-            decode_result(frame[: len(frame) - 5])
-        with pytest.raises(ValueError):
-            decode_attempt(b"\x00")
-
-
-class TestSpoolFiles:
-    def test_write_read_many(self, tmp_path):
-        results = [real_result()]
-        results.append(
-            run_benchmark(
-                RunConfig(workload="luindex", scale=0.05, seed=1,
-                          failure_model=FailureModel())
-            )
-        )
-        writer = SpoolWriter(str(tmp_path))
-        handles = [writer.append(result) for result in results]
-        assert writer.frames == 2
-        with SpoolReader(str(tmp_path)) as reader:
-            for handle, original in zip(handles, results):
-                read_back = reader.read(handle)
-                assert result_to_dict(read_back) == result_to_dict(original)
-            assert reader.frames == 2
-            assert reader.bytes_read == writer.bytes_written
-        writer.close()
-
-    def test_truncated_spool_detected(self, tmp_path):
-        writer = SpoolWriter(str(tmp_path))
-        pid, offset, length = writer.append(real_result())
-        writer.close()
-        with SpoolReader(str(tmp_path)) as reader:
-            with pytest.raises(ValueError):
-                reader.read((pid, offset, length + 100))
-
-
-class TestModeSwitch:
-    def test_default_is_spool(self):
-        assert use_spool_transport()
-        assert validate_transport_mode() in transport.TRANSPORT_MODES
-
-    def test_set_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            set_transport_mode("carrier-pigeon")
-
-    def test_set_and_restore(self):
-        previous = set_transport_mode("pickle")
-        assert not use_spool_transport()
-        set_transport_mode(previous)
-        assert use_spool_transport()
-
-    def test_bad_env_value_fails_lazily(self):
-        # A typo behaves like the default until validated — mirroring
-        # REPRO_KERNELS — then raises with usage, never at import time.
-        transport._transport_mode = "spooool"
-        assert use_spool_transport()
-        with pytest.raises(ValueError, match="REPRO_RESULT_TRANSPORT"):
-            validate_transport_mode()
-
-    def test_cli_exits_2_on_bad_transport(self):
-        from repro.cli import main
-
-        transport._transport_mode = "spooool"
-        assert main(["workloads"]) == 2
-
-    def test_cli_exits_2_on_bad_kernels(self):
-        from repro.cli import main
-        from repro.heap import line_table
-
-        previous = line_table._kernel_mode
-        line_table._kernel_mode = "refrence"
-        try:
-            assert main(["workloads"]) == 2
-        finally:
-            line_table._kernel_mode = previous
 
 
 def small_grid():
@@ -219,49 +21,12 @@ def small_grid():
 
 
 class TestPoolBitIdentity:
-    def test_spool_matches_pickle_transport(self):
-        grid = small_grid()
-        set_transport_mode("spool")
-        spooled, spool_stats = run_grid(grid, jobs=2)
-        set_transport_mode("pickle")
-        pickled, pickle_stats = run_grid(grid, jobs=2)
-        assert [result_to_dict(r) for r in spooled] == [
-            result_to_dict(r) for r in pickled
-        ]
-        # Spool accounting: frames moved fewer bytes than pickles would
-        # have; the pickle oracle counts its own (larger) volume and
-        # has no hypothetical to compare against.
-        assert 0 < spool_stats.result_bytes < spool_stats.pickle_bytes
-        assert pickle_stats.result_bytes > spool_stats.result_bytes
-        assert pickle_stats.pickle_bytes == 0
-
     def test_inline_path_unaffected(self):
         grid = small_grid()[:2]
         serial, stats = run_grid(grid, jobs=1)
         assert stats.result_bytes == 0
-        set_transport_mode("pickle")
-        again, _ = run_grid(grid, jobs=1)
+        again, again_stats = run_grid(grid, jobs=1)
+        assert again_stats.result_bytes == 0
         assert [result_to_dict(r) for r in serial] == [
             result_to_dict(r) for r in again
-        ]
-
-
-class TestFtexecBitIdentity:
-    def test_spool_matches_json_records(self):
-        cells = [
-            (index, config) for index, config in enumerate(small_grid()[:2])
-        ]
-        set_transport_mode("spool")
-        spooled, _ = run_cells_fault_tolerant(
-            cells, DEFAULT_COST_MODEL, jobs=2, policy=RetryPolicy()
-        )
-        set_transport_mode("pickle")
-        jsonned, _ = run_cells_fault_tolerant(
-            cells, DEFAULT_COST_MODEL, jobs=2, policy=RetryPolicy()
-        )
-        key = lambda item: item[0]
-        spooled = sorted(spooled, key=key)
-        jsonned = sorted(jsonned, key=key)
-        assert [(i, result_to_dict(r)) for i, r, _ in spooled] == [
-            (i, result_to_dict(r)) for i, r, _ in jsonned
         ]

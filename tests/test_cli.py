@@ -74,6 +74,18 @@ class TestParser:
 
 
 class TestCommands:
+    def test_cli_exits_2_on_bad_kernels(self):
+        # A typo'd REPRO_KERNELS is a usage error, not an import-time
+        # traceback.
+        from repro.heap import line_table
+
+        previous = line_table._kernel_mode
+        line_table._kernel_mode = "refrence"
+        try:
+            assert main(["workloads"]) == 2
+        finally:
+            line_table._kernel_mode = previous
+
     def test_workloads_lists_all(self, capsys):
         assert main(["workloads"]) == 0
         out = capsys.readouterr().out
@@ -524,16 +536,14 @@ class TestReportCommand:
         # measured wall clock on a sweep that executes its cells.
         assert payload["coverage"] >= 0.95
 
-    def test_report_shows_transport_savings(self, capsys, tmp_path):
-        # A pooled sweep ships results as spool frames; the report
-        # shows the bytes moved and what pickling would have cost.
+    def test_report_shows_result_bytes(self, capsys, tmp_path):
+        # Worker results cross a pipe; the report shows the bytes moved.
         ledger = self.recorded_sweep(tmp_path, "--jobs", "2")
         capsys.readouterr()
         assert main(["report", ledger]) == 0
         out = capsys.readouterr().out
         assert "transport" in out
-        assert "KiB moved" in out
-        assert "pickle would have moved" in out
+        assert "KiB moved over worker pipes" in out
 
     def test_report_merges_profiles(self, capsys, tmp_path):
         ledger = self.recorded_sweep(tmp_path, "--profile-cells")
