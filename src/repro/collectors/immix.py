@@ -224,25 +224,40 @@ class ImmixCollector:
         post-collection retry, unlocking the perfect/borrow fallbacks.
         """
         size = obj.size
-        allow_perfect = after_gc or not self._collect_before_perfect
-        if size > self._large_threshold:
-            placed = self._alloc_large(obj, allow_borrow=allow_perfect)
-        elif size > self._line_size:
-            placed = self._alloc_medium(obj, allow_perfect)
+        stats = self.stats
+        state = self._state
+        if (
+            size <= self._large_threshold
+            and state is not None
+            and state.cursor + size <= state.limit
+        ):
+            # Fast path: bump into the current free run. Small and
+            # medium objects both try it first; the slow paths below
+            # would repeat exactly this check.
+            state.block.place(obj, state.cursor)
+            state.cursor += size
+            stats.fast_path_allocs += 1
+            stats.run_locality_units += size / state.run_lines
         else:
-            placed = self._alloc_small(obj)
-        if placed:
-            stats = self.stats
-            stats.objects_allocated += 1
-            stats.bytes_allocated += size
-            block = obj.block
-            if block is not None and block.failed_lines:
-                stats.block_sparsity_units += (
-                    size * len(block.failed_lines) / block.n_lines
-                )
-            if self._generational:
-                self._young.append(obj)
-        return placed
+            allow_perfect = after_gc or not self._collect_before_perfect
+            if size > self._large_threshold:
+                placed = self._alloc_large(obj, allow_borrow=allow_perfect)
+            elif size > self._line_size:
+                placed = self._alloc_overflow(obj, allow_perfect)
+            else:
+                placed = self._alloc_small(obj)
+            if not placed:
+                return False
+        stats.objects_allocated += 1
+        stats.bytes_allocated += size
+        block = obj.block
+        if block is not None and block.failed_lines:
+            stats.block_sparsity_units += (
+                size * len(block.failed_lines) / block.n_lines
+            )
+        if self._generational:
+            self._young.append(obj)
+        return True
 
     def _alloc_large(self, obj: SimObject, allow_borrow: bool = True) -> bool:
         if self.config.arraylets and self.factory is not None:
@@ -318,21 +333,23 @@ class ImmixCollector:
                 return False
 
     def _advance_small(self) -> Optional[_BumpState]:
-        line_size = self.geometry.immix_line
-        if self._state is not None and self._state.advance_run(line_size):
+        line_size = self._line_size
+        state = self._state
+        if state is not None and state.advance_run(line_size):
             self.stats.run_advances += 1
-            return self._state
-        block = self._next_block()
-        if block is None:
-            self._state = None
-            return None
-        self._state = _BumpState(block, block.free_runs())
-        if not self._state.advance_run(line_size):
-            # A block with no free lines should never be queued; guard
-            # against fully-failed blocks by skipping them.
-            return self._advance_small()
-        self.stats.run_advances += 1
-        return self._state
+            return state
+        # A loop, not recursion: with whole-page retirement a heap can
+        # hold thousands of fully-failed blocks in a row, each skipped
+        # here (they have no free run).
+        while True:
+            block = self._next_block()
+            if block is None:
+                self._state = None
+                return None
+            state = self._state = _BumpState(block, block.free_runs())
+            if state.advance_run(line_size):
+                self.stats.run_advances += 1
+                return state
 
     def _next_block(self) -> Optional[Block]:
         while self._recycled:

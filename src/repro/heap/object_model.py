@@ -18,12 +18,16 @@ ALIGNMENT = 8
 HEADER_BYTES = 8
 
 
+#: ``aligned_size(n) == (n + ALIGN_PAD) & ALIGN_MASK``; hot loops inline it.
+ALIGN_PAD = HEADER_BYTES + ALIGNMENT - 1
+ALIGN_MASK = ~(ALIGNMENT - 1)
+
+
 def aligned_size(requested: int) -> int:
     """Total footprint of an object of ``requested`` payload bytes."""
     if requested < 0:
         raise ValueError("object size must be >= 0")
-    total = requested + HEADER_BYTES
-    return (total + ALIGNMENT - 1) & ~(ALIGNMENT - 1)
+    return (requested + ALIGN_PAD) & ALIGN_MASK
 
 
 class SimObject:
@@ -39,11 +43,10 @@ class SimObject:
         "pinned",
         "mark",
         "old",
-        "birth",
         "moved_count",
     )
 
-    def __init__(self, oid: int, size: int, pinned: bool = False, birth: int = 0) -> None:
+    def __init__(self, oid: int, size: int, pinned: bool = False) -> None:
         self.oid = oid
         self.size = size
         self.block = None  # repro.heap.block.Block when small/medium
@@ -58,7 +61,6 @@ class SimObject:
         #: Nursery (sticky) collections treat old objects as implicitly
         #: live and do not trace into them.
         self.old = False
-        self.birth = birth
         self.moved_count = 0
 
     # ------------------------------------------------------------------
@@ -96,19 +98,23 @@ class SimObject:
 
 
 class ObjectFactory:
-    """Mints objects with unique ids and a monotonically advancing clock."""
+    """Mints objects with unique ids; the one object-minting path."""
 
     def __init__(self) -> None:
         self._next_oid = 0
         self.allocated_objects = 0
         self.allocated_bytes = 0
 
-    def make(self, size: int, pinned: bool = False, clock: int = 0) -> SimObject:
-        obj = SimObject(self._next_oid, aligned_size(size), pinned, birth=clock)
-        self._next_oid += 1
+    def make(self, size: int, pinned: bool = False) -> SimObject:
+        if size < 0:
+            raise ValueError("object size must be >= 0")
+        # aligned_size, inlined: this runs once per simulated object.
+        total = (size + ALIGN_PAD) & ALIGN_MASK
+        oid = self._next_oid
+        self._next_oid = oid + 1
         self.allocated_objects += 1
-        self.allocated_bytes += obj.size
-        return obj
+        self.allocated_bytes += total
+        return SimObject(oid, total, pinned)
 
 
 def reachable_from(roots: Iterable[SimObject], epoch: int) -> List[SimObject]:

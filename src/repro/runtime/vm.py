@@ -126,6 +126,8 @@ class VirtualMachine:
         self._retire_pages = (
             config.page_retirement or self.pool_policy.retire_whole_pages
         )
+        #: Read once per mutator event; a plain attribute, not a chain.
+        self._wear_writes = config.wear_writes
         self.tracer = config.tracer
         if self.tracer is not None:
             # Simulated time is a pure function of the stats counters,
@@ -287,7 +289,7 @@ class VirtualMachine:
                         f"{self.config.heap_bytes} B heap "
                         f"({self.config.failure_model.describe()})"
                     )
-        if self.config.wear_writes:
+        if self._wear_writes:
             self._write_object(obj)
         self.auditor.after_alloc()
         return obj
@@ -299,14 +301,14 @@ class VirtualMachine:
         self._roots.pop(obj.oid, None)
 
     def add_ref(self, parent: SimObject, child: SimObject) -> None:
-        parent.add_ref(child)
+        parent.refs.append(child)
         self.collector.write_barrier(parent, child)
-        if self.config.wear_writes:
+        if self._wear_writes:
             self._write_slot(parent)
 
     def mutate(self, obj: SimObject) -> None:
         """An application store into the object (wears its lines)."""
-        if self.config.wear_writes:
+        if self._wear_writes:
             self._write_slot(obj)
 
     def roots(self) -> List[SimObject]:

@@ -20,56 +20,70 @@ import heapq
 import random
 import zlib
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..hardware.geometry import Geometry
-from ..heap.object_model import aligned_size
+from ..heap.object_model import ALIGN_MASK, ALIGN_PAD, aligned_size
 from ..units import KiB
-from .spec import WorkloadSpec
+from .spec import SizeBand, WorkloadSpec
+
+#: Footprints above this are large objects, placed on whole pages.
+_LARGE_FOOTPRINT = 8 * KiB
+
+
+def _band(band: SizeBand) -> Tuple[int, int, int]:
+    """``(lo, n, n.bit_length())`` for drawing ``randint(lo, hi)`` inline.
+
+    ``random.Random.randint(lo, hi)`` is ``lo + _randbelow(n)`` with
+    ``n = hi - lo + 1``, and ``_randbelow`` draws ``getrandbits(k)``
+    until the value is below ``n``. The driver repeats exactly those
+    draws, so its sizes equal :meth:`SizeBand.sample` on the same
+    generator (``tests/workloads/test_sampler.py`` holds it to that).
+    """
+    n = band.hi - band.lo + 1
+    return band.lo, n, n.bit_length()
 
 
 class LivenessProbe:
-    """A sink that only tracks liveness (for min-heap estimation)."""
+    """A sink that only tracks liveness (for min-heap estimation).
+
+    Cohort members live and die with their head, so the head's stub
+    carries the cohort's running footprint; no per-object table.
+    """
+
+    class _Stub:
+        __slots__ = ("size", "cohort_bytes")
+
+        def __init__(self, size: int) -> None:
+            self.size = size
 
     def __init__(self, geometry: Optional[Geometry] = None) -> None:
         self.geometry = geometry or Geometry()
+        self._page = self.geometry.page
         self.live_bytes = 0
         self.peak_live_bytes = 0
-        self._cohort_bytes: dict = {}
-        self._next_id = 0
         self.objects_allocated = 0
 
-    class _Stub:
-        __slots__ = ("oid", "size")
-
-        def __init__(self, oid: int, size: int) -> None:
-            self.oid = oid
-            self.size = size
-
-    def _footprint(self, size: int) -> int:
-        total = aligned_size(size)
-        if total > 8 * KiB:  # large objects occupy whole pages
-            page = self.geometry.page
-            total = (total + page - 1) // page * page
-        return total
-
     def alloc(self, size: int, pinned: bool = False):
-        stub = self._Stub(self._next_id, self._footprint(size))
-        self._next_id += 1
+        total = (size + ALIGN_PAD) & ALIGN_MASK
+        if total > _LARGE_FOOTPRINT:  # large objects occupy whole pages
+            page = self._page
+            total = (total + page - 1) // page * page
         self.objects_allocated += 1
-        self.live_bytes += stub.size
-        self.peak_live_bytes = max(self.peak_live_bytes, self.live_bytes)
-        return stub
+        live = self.live_bytes + total
+        self.live_bytes = live
+        if live > self.peak_live_bytes:
+            self.peak_live_bytes = live
+        return self._Stub(total)
 
     def add_root(self, obj) -> None:
-        self._cohort_bytes[obj.oid] = obj.size
+        obj.cohort_bytes = obj.size
 
     def remove_root(self, obj) -> None:
-        self.live_bytes -= self._cohort_bytes.pop(obj.oid)
+        self.live_bytes -= obj.cohort_bytes
 
     def add_ref(self, parent, child) -> None:
-        # Cohort members live and die with their head.
-        self._cohort_bytes[parent.oid] += child.size
+        parent.cohort_bytes += child.size
 
     def mutate(self, obj) -> None:
         return None
@@ -147,6 +161,17 @@ class TraceDriver:
         self.spec = spec
         self.seed = seed
         self.state: Optional[DriverState] = None
+        # Sampling constants for the per-object loops, which draw sizes
+        # inline (see _band) instead of through SizeBand.sample and
+        # WorkloadSpec.sample_size. Sums are formed as sample_size forms
+        # them, so every float comparison is the same.
+        self._small = _band(spec.small)
+        self._medium = _band(spec.medium)
+        self._large = _band(spec.large)
+        small_w, medium_w, large_w = spec.size_weights
+        self._small_w = small_w
+        self._small_medium_w = small_w + medium_w
+        self._total_w = small_w + medium_w + large_w
 
     # ------------------------------------------------------------------
     def begin(self) -> DriverState:
@@ -182,7 +207,11 @@ class TraceDriver:
         return True
 
     def _step_immortal(self, state: DriverState, sink) -> None:
-        """One immortal cohort: rooted once, never removed."""
+        """One immortal cohort: rooted once, never removed.
+
+        Start-up only, so it samples through the readable reference
+        (:meth:`SizeBand.sample`, :meth:`WorkloadSpec.sample_size`).
+        """
         spec = self.spec
         if state.immortal >= spec.immortal_bytes:
             state.clock += state.immortal
@@ -204,36 +233,74 @@ class TraceDriver:
             state.objects += 1
 
     def _step_churn(self, state: DriverState, sink) -> None:
-        """One churn cohort with a sampled lifetime."""
+        """One churn cohort with a sampled lifetime.
+
+        This loop runs once per simulated object, so it keeps the
+        generator, the sink's methods and the sampling constants in
+        locals and draws sizes inline; the draws are exactly those of
+        ``spec.small.sample`` and ``spec.sample_size``. The clock and
+        object count are written back once, at the cohort's end (the
+        step boundary, where snapshots are taken).
+        """
         spec = self.spec
         rng = state.rng
-        while state.pending and state.pending[0][0] <= state.clock:
-            _, _, dead_head = heapq.heappop(state.pending)
+        random_ = rng.random
+        getrandbits = rng.getrandbits
+        pending = state.pending
+        while pending and pending[0][0] <= state.clock:
+            _, _, dead_head = heapq.heappop(pending)
             sink.remove_root(dead_head)
             state.expired += 1
-        head_size = spec.small.sample(rng)
+        lo, n, k = self._small
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        head_size = lo + r
         head = sink.alloc(head_size)
         sink.add_root(head)
-        state.clock += aligned_size(head_size)
-        state.objects += 1
+        clock = state.clock + ((head_size + ALIGN_PAD) & ALIGN_MASK)
         state.cohorts += 1
         lifetime = spec.sample_lifetime(rng)
-        heapq.heappush(state.pending, (state.clock + lifetime, state.sequence, head))
+        heapq.heappush(pending, (clock + lifetime, state.sequence, head))
         state.sequence += 1
+        objects = 1
+        alloc = sink.alloc
+        add_ref = sink.add_ref
+        pinned_fraction = spec.pinned_fraction
+        small = self._small
+        medium = self._medium
+        large = self._large
+        small_w = self._small_w
+        small_medium_w = self._small_medium_w
+        total_w = self._total_w
+        limit = spec.total_alloc_bytes
+        mutations = spec.mutations_per_object
         for _ in range(spec.cohort_size - 1):
-            pinned = rng.random() < spec.pinned_fraction
-            child_size = spec.sample_size(rng)
-            child = sink.alloc(child_size, pinned=pinned)
-            sink.add_ref(head, child)
-            state.clock += aligned_size(child_size)
-            state.objects += 1
-            if spec.mutations_per_object > 0:
-                state.mutation_budget += spec.mutations_per_object
+            pinned = random_() < pinned_fraction
+            pick = random_() * total_w
+            if pick < small_w:
+                lo, n, k = small
+            elif pick < small_medium_w:
+                lo, n, k = medium
+            else:
+                lo, n, k = large
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            size = lo + r
+            child = alloc(size, pinned=pinned)
+            add_ref(head, child)
+            clock += (size + ALIGN_PAD) & ALIGN_MASK
+            objects += 1
+            if mutations > 0:
+                state.mutation_budget += mutations
                 while state.mutation_budget >= 1.0:
                     sink.mutate(child)
                     state.mutation_budget -= 1.0
-            if state.clock >= spec.total_alloc_bytes:
+            if clock >= limit:
                 break
+        state.clock = clock
+        state.objects += objects
 
     def result(self) -> DriveResult:
         state = self.state

@@ -57,6 +57,22 @@ class TestRunBenchmark:
         assert result.dnf
         assert result.failure_note
 
+    def test_dnf_after_thousands_of_fully_failed_blocks(self):
+        # Whole-page retirement at 50% failures kills nearly every page,
+        # so the small-object allocator skips ~1000 fully-failed blocks
+        # in a row before the heap runs dry. That skip used to recurse
+        # once per block and raised RecursionError instead of a DNF.
+        result = run_benchmark(
+            RunConfig(
+                workload="antlr",
+                heap_multiplier=20.0,
+                failure_model=FailureModel(rate=0.5),
+                pool_policy="migrant",
+            )
+        )
+        assert not result.completed
+        assert result.failure_note.startswith("cannot place")
+
     def test_determinism(self):
         a = run_benchmark(QUICK)
         b = run_benchmark(QUICK)
