@@ -1,8 +1,8 @@
 """Hot-path kernel microbenchmarks (pytest-benchmark rig).
 
-Times each vectorized kernel against its retained pure-Python
-reference on the same deterministic synthetic inputs the ``repro
-microbench`` subcommand uses, and asserts both the output identity and
+Times each vectorized kernel against its pure-Python reference oracle
+(:mod:`repro.check.oracles`) on the same deterministic synthetic inputs
+the ``repro microbench`` subcommand uses, and asserts both the output identity and
 the speedups the kernel overhaul claims. Run with::
 
     PYTHONPATH=src python -m pytest benchmarks/test_kernels.py -q
@@ -13,6 +13,7 @@ The thresholds are deliberately looser than locally measured numbers
 
 import pytest
 
+from repro.check import oracles
 from repro.hardware.geometry import Geometry
 from repro.heap import line_table
 from repro.heap.heap_table import HeapTable
@@ -25,13 +26,6 @@ from repro.sim.microbench import (
 )
 
 
-@pytest.fixture(autouse=True)
-def _fast_kernels():
-    previous = line_table.set_kernel_mode("fast")
-    yield
-    line_table.set_kernel_mode(previous)
-
-
 @pytest.fixture(scope="module")
 def tables():
     geometry = Geometry(immix_line=64)  # 512-line tables: the big case
@@ -41,7 +35,7 @@ def tables():
 def test_free_runs(benchmark, tables):
     benchmark(lambda: [line_table.free_runs(t) for t in tables])
     for table in tables:
-        assert line_table.free_runs(table) == line_table.free_runs_reference(table)
+        assert line_table.free_runs(table) == oracles.free_runs(table)
 
 
 def test_fragmentation_index(benchmark, tables):
@@ -49,7 +43,7 @@ def test_fragmentation_index(benchmark, tables):
     for table in tables:
         assert line_table.fragmentation_index(
             table
-        ) == line_table.fragmentation_index_reference(table)
+        ) == oracles.fragmentation_index(table)
 
 
 def test_sweep_small_objects(benchmark):

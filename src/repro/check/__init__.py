@@ -4,8 +4,10 @@ The paper's whole design rests on four views of failure state agreeing:
 hardware ECC state, the OS failure table, the runtime's per-block line
 marks, and the clustering redirection maps. This package verifies that
 agreement — one checker per layer (:mod:`.invariants`), a coordinator
-that runs them at configurable points (:mod:`.audit`), and randomized
-fault-injection campaigns (:mod:`.campaign`).
+that runs them at configurable points (:mod:`.audit`), randomized
+fault-injection campaigns (:mod:`.campaign`), and the slow reference
+oracles the cached hot-path kernels are checked against
+(:mod:`.oracles`).
 
 Enable in-run auditing with ``--verify-heap {off,gc,upcall,paranoid}``
 or the ``REPRO_VERIFY`` environment variable; run a standalone campaign

@@ -34,6 +34,7 @@ from ..heap import line_table, object_model
 from ..heap.heap_table import UNMAPPED
 from ..heap.line_table import FAILED, FREE, LIVE, LIVE_PINNED
 from ..osim.page import PageKind
+from . import oracles
 from .audit import Violation
 
 
@@ -647,25 +648,15 @@ def check_kernel_caches(vm, violations: List[Violation], trigger: str) -> None:
     per-block free-run summary, the object extent index, and the OS
     failure table's decoded-offset cache. A mutation that bypasses the
     owning object's mutators would leave a cache stale; this checker
-    recomputes each summary with the retained reference kernels and
-    flags any divergence. Under ``REPRO_KERNELS=reference`` the cached
-    accessors already recompute per query, so the check is trivially
-    clean — which is itself the bit-identity claim.
+    recomputes each summary with the per-line, per-slot and per-bit
+    oracles in :mod:`repro.check.oracles` and flags any divergence.
     """
     collector = vm.collector
     if isinstance(collector, ImmixCollector):
         for block in collector.blocks:
             summary = block.line_summary()
-            reference_runs = line_table.free_runs_reference(block.line_states)
-            reference_free = line_table.count_state(block.line_states, FREE)
-            reference_largest = max(
-                (length for _start, length in reference_runs), default=0
-            )
-            if (
-                summary.runs != reference_runs
-                or summary.free_lines != reference_free
-                or summary.largest_run != reference_largest
-            ):
+            expected = oracles.free_run_summary(block.line_states)
+            if summary != expected:
                 violations.append(
                     Violation(
                         invariant="kernel-cache-coherence",
@@ -674,8 +665,9 @@ def check_kernel_caches(vm, violations: List[Violation], trigger: str) -> None:
                         message="cached free-run summary diverged from the "
                         "reference recomputation (a line-state mutation "
                         "bypassed the block's generation counter)",
-                        expected=f"runs {reference_runs[:8]}, "
-                        f"free {reference_free}, largest {reference_largest}",
+                        expected=f"runs {expected.runs[:8]}, "
+                        f"free {expected.free_lines}, "
+                        f"largest {expected.largest_run}",
                         actual=f"runs {summary.runs[:8]}, "
                         f"free {summary.free_lines}, "
                         f"largest {summary.largest_run}",
@@ -705,11 +697,11 @@ def check_kernel_caches(vm, violations: List[Violation], trigger: str) -> None:
     if heap_table is not None:
         pairs = (
             ("free_line_count", heap_table.free_line_count(),
-             heap_table.free_line_count_reference()),
+             oracles.heap_free_line_count(heap_table)),
             ("failed_line_count", heap_table.failed_line_count(),
-             heap_table.failed_line_count_reference()),
+             oracles.heap_failed_line_count(heap_table)),
             ("slots_with_free_lines", heap_table.slots_with_free_lines(),
-             heap_table.slots_with_free_lines_reference()),
+             oracles.slots_with_free_lines(heap_table)),
         )
         for name, fast, reference in pairs:
             if fast != reference:
@@ -764,10 +756,7 @@ def check_kernel_caches(vm, violations: List[Violation], trigger: str) -> None:
     table = vm.os.failure_table
     count = 0
     for page_index in table.imperfect_pages():
-        bitmap = table.bitmap(page_index)
-        reference_offsets = {
-            i for i in range(vm.geometry.lines_per_page) if bitmap >> i & 1
-        }
+        reference_offsets = oracles.failed_offsets(table, page_index)
         count += len(reference_offsets)
         if table.failed_offsets(page_index) != reference_offsets:
             violations.append(

@@ -9,7 +9,7 @@ Commands
 ``bench``      run one workload at one configuration and dump counters
 ``trace``      record a Chrome trace of one (wearing) run
 ``check``      run a randomized fault-injection audit campaign
-``microbench`` time the hot-path kernels against their reference twins
+``microbench`` time the hot-path kernels against their reference oracles
 ``lifetime``   age a PCM module under a wear-management strategy
 ``serve``      long-running shared-cache experiment service (HTTP)
 ``workloads``  list the synthetic DaCapo-style workloads
@@ -444,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     microbench = sub.add_parser(
         "microbench",
-        help="time the hot-path kernels against their reference twins",
+        help="time the hot-path kernels against their reference oracles",
     )
     microbench.add_argument(
         "--iterations",
@@ -453,28 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="timing iterations per kernel (default: %(default)s)",
     )
     microbench.add_argument("--seed", type=int, default=0)
-    microbench.add_argument(
-        "--workloads", nargs="+", default=["luindex"], metavar="NAME",
-        help="end-to-end grid workloads (default: %(default)s)",
-    )
-    microbench.add_argument(
-        "--rates", type=float, nargs="+", default=[0.0, 0.25]
-    )
-    microbench.add_argument("--heap", type=float, default=2.0, metavar="MULTIPLIER")
-    microbench.add_argument("--scale", type=float, default=0.1)
-    microbench.add_argument(
-        "--verify-heap",
-        default=None,
-        choices=list(VERIFY_LEVELS),
-        metavar="LEVEL",
-        help="audit the end-to-end runs at this level (off, gc, upcall, "
-        "or paranoid); the audits run under both kernel modes",
-    )
-    microbench.add_argument(
-        "--skip-end-to-end",
-        action="store_true",
-        help="kernel timings only; skip the fast-vs-reference grid",
-    )
     microbench.add_argument(
         "--out",
         metavar="PATH",
@@ -1365,48 +1343,19 @@ def cmd_check(args) -> int:
 
 def cmd_microbench(args) -> int:
     from .sim.microbench import payload_ok, run_microbench
-    from .workloads.dacapo import DACAPO
 
-    available = [spec.name for spec in DACAPO]
-    unknown = [name for name in args.workloads if name not in available]
-    if unknown:
-        obslog.warn(f"unknown workloads: {', '.join(unknown)}")
-        obslog.warn(f"available: {', '.join(available)}")
-        return 2
-    payload = run_microbench(
-        iterations=args.iterations,
-        seed=args.seed,
-        workloads=args.workloads,
-        rates=args.rates,
-        heap_multiplier=args.heap,
-        scale=args.scale,
-        verify=args.verify_heap,
-        end_to_end=not args.skip_end_to_end,
-        progress=lambda message: obslog.info(f"  .. {message}"),
-    )
-    obslog.out(f"{'kernel':45s} {'fast(us)':>9s} {'ref(us)':>9s} "
+    payload = run_microbench(iterations=args.iterations, seed=args.seed)
+    obslog.out(f"{'kernel':45s} {'fast(us)':>9s} {'oracle(us)':>10s} "
                f"{'speedup':>8s} {'identical':>9s}")
     for entry in payload["kernels"]:
         per_fast = entry["fast_seconds"] / entry["iterations"] * 1e6
-        per_reference = entry["reference_seconds"] / entry["iterations"] * 1e6
-        obslog.out(f"{entry['kernel']:45s} {per_fast:9.2f} {per_reference:9.2f} "
+        per_oracle = entry["oracle_seconds"] / entry["iterations"] * 1e6
+        obslog.out(f"{entry['kernel']:45s} {per_fast:9.2f} {per_oracle:10.2f} "
                    f"{entry['speedup']:7.2f}x {str(entry['identical']):>9s}")
-    end_to_end = payload["end_to_end"]
-    if end_to_end is not None:
-        grid = end_to_end["grid"]
-        obslog.out(
-            f"end-to-end    {grid['cells']} cell(s): "
-            f"fast {end_to_end['fast_seconds']:.2f}s, "
-            f"reference {end_to_end['reference_seconds']:.2f}s "
-            f"({end_to_end['speedup']:.2f}x), bit-identical: "
-            f"{end_to_end['bit_identical']}"
-        )
-        for cell in end_to_end["divergent_cells"]:
-            obslog.warn(f"divergent cell: {cell}")
     atomic_write_json(args.out, payload, indent=2)
     obslog.info(f"microbench artifact: {args.out}")
     if not payload_ok(payload):
-        obslog.warn("fast and reference kernels diverged; see the artifact")
+        obslog.warn("kernels diverged from their oracles; see the artifact")
         return 1
     return 0
 
@@ -1539,16 +1488,6 @@ def cmd_plan(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     obslog.setup(-1 if args.quiet else args.verbose)
-    # Environment switches are validated lazily (import never raises on
-    # a bad value) so a typo'd REPRO_KERNELS=refrence produces a usage
-    # error here — exit 2 — instead of a bare import-time traceback.
-    from .heap.line_table import validate_kernel_mode
-
-    try:
-        validate_kernel_mode()
-    except ValueError as exc:
-        obslog.warn(f"usage: {exc}")
-        return 2
     handlers = {
         "figures": cmd_figures,
         "sweep": cmd_sweep,

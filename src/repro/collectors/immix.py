@@ -26,7 +26,6 @@ from typing import Deque, Dict, List, Optional, Sequence, Set
 
 from ..errors import OutOfMemoryError
 from ..hardware.geometry import Geometry
-from ..heap import line_table
 from ..heap.block import Block
 from ..heap.heap_table import HeapTable
 from ..heap.large_object_space import LargeObjectSpace
@@ -710,24 +709,13 @@ class ImmixCollector:
                 histogram.observe(length)
 
     def _rebuild_allocation_state(self, exclude_evacuating: bool) -> None:
-        if line_table.use_reference_kernels():
-            candidates = [
-                block
-                for block in self.blocks
-                if block.free_line_count() > 0
-                and not (exclude_evacuating and block.evacuate)
-            ]
-        else:
-            # Whole-heap kernel: one find-jumping scan over the flat
-            # line array yields exactly the blocks with a free line —
-            # every active segment's owner is in self.blocks, so this
-            # is the same candidate set as the per-block filter.
-            owners = self.table.owners
-            candidates = [
-                owners[slot] for slot in self.table.slots_with_free_lines()
-            ]
-            if exclude_evacuating:
-                candidates = [b for b in candidates if not b.evacuate]
+        # Whole-heap kernel: one find-jumping scan over the flat line
+        # array yields exactly the blocks with a free line — every
+        # active segment's owner is in self.blocks.
+        owners = self.table.owners
+        candidates = [owners[slot] for slot in self.table.slots_with_free_lines()]
+        if exclude_evacuating:
+            candidates = [b for b in candidates if not b.evacuate]
         candidates.sort(key=lambda b: b.virtual_index)
         self._recycled = deque(candidates)
         self._state = None
@@ -889,28 +877,18 @@ class ImmixCollector:
 
     # ------------------------------------------------------------------
     def _free_bytes_estimate(self) -> int:
-        if line_table.use_reference_kernels():
-            block_free = sum(block.usable_bytes() for block in self.blocks)
-        else:
-            # One C-speed count over the whole-heap array; guard bytes
-            # and retired segments are UNMAPPED, so this equals the
-            # per-block sum exactly.
-            block_free = self.table.free_line_count() * self.geometry.immix_line
+        # One C-speed count over the whole-heap array; guard bytes and
+        # retired segments are UNMAPPED, so this equals the per-block sum.
+        block_free = self.table.free_line_count() * self.geometry.immix_line
         return block_free + self.supply.available_pages() * self.geometry.page
 
     def heap_census(self) -> dict:
         """Debug/metrics snapshot of heap composition."""
-        if line_table.use_reference_kernels():
-            failed_lines = sum(b.failed_line_count() for b in self.blocks)
-            free_lines = sum(b.free_line_count() for b in self.blocks)
-        else:
-            failed_lines = self.table.failed_line_count()
-            free_lines = self.table.free_line_count()
         return {
             "blocks": len(self.blocks),
             "recycled": len(self._recycled),
             "los_objects": len(self.los),
             "free_pages": self.supply.available_pages(),
-            "failed_lines": failed_lines,
-            "free_lines": free_lines,
+            "failed_lines": self.table.failed_line_count(),
+            "free_lines": self.table.free_line_count(),
         }

@@ -17,11 +17,7 @@ from .line_table import (
     FreeRunSummary,
     free_run_summary,
     free_runs,
-    kernel_mode,
-    set_kernel_mode,
     state_name,
-    use_reference_kernels,
-    validate_kernel_mode,
 )
 from .object_model import (
     ALIGNMENT,
@@ -51,10 +47,6 @@ __all__ = [
     "FreeRunSummary",
     "free_run_summary",
     "free_runs",
-    "kernel_mode",
-    "set_kernel_mode",
-    "use_reference_kernels",
-    "validate_kernel_mode",
     "state_name",
     "ALIGNMENT",
     "HEADER_BYTES",

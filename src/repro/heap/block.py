@@ -21,9 +21,8 @@ Hot-path accounting is cached behind two generation counters:
   sorted index over object extents so :meth:`objects_overlapping_line`
   is a bisect instead of a full scan.
 
-``REPRO_KERNELS=reference`` (see :mod:`.line_table`) bypasses both
-caches and the vectorized sweep, restoring the original per-line loops
-for bit-identity comparison.
+The per-line sweep and the linear overlap scan these replaced are kept
+as oracles in :mod:`repro.check.oracles`.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from typing import List, Optional, Sequence, Set, Tuple
 from ..hardware.geometry import Geometry
 from . import line_table
 from .heap_table import HeapTable, LineSegment
-from .line_table import FAILED, FREE, LIVE, LIVE_PINNED, FreeRunSummary
+from .line_table import FAILED, LIVE, LIVE_PINNED, FreeRunSummary
 from .object_model import SimObject
 from .page_supply import HeapPage
 
@@ -112,12 +111,7 @@ class Block:
         self._extent_objs: List[SimObject] = []
         self._extent_starts: List[int] = []
         self._extent_gen = -1
-        if line_table.use_reference_kernels():
-            for slot, page in enumerate(pages):
-                for offset in page.failed_offsets:
-                    self._seed_failed_pcm_line(slot, offset)
-        else:
-            self._seed_failed_pages_bulk(pages)
+        self._seed_failed_pages_bulk(pages)
 
     # ------------------------------------------------------------------
     @property
@@ -138,7 +132,7 @@ class Block:
         self._obj_gen += 1
 
     def _seed_failed_pages_bulk(self, pages: List[HeapPage]) -> None:
-        """Seed every page's failed PCM lines in one pass (fast kernel).
+        """Seed every page's failed PCM lines in one pass.
 
         Identical final state to calling :meth:`_seed_failed_pcm_line`
         per offset — the seeded set and byte writes are idempotent and
@@ -203,8 +197,6 @@ class Block:
     # ------------------------------------------------------------------
     def line_summary(self) -> FreeRunSummary:
         """Free runs + aggregates, cached until a line state mutates."""
-        if line_table.use_reference_kernels():
-            return line_table.free_run_summary(self.line_states)
         if self._summary_gen != self._line_gen:
             self._summary = line_table.free_run_summary(self.line_states)
             self._summary_gen = self._line_gen
@@ -255,8 +247,6 @@ class Block:
         a survivor's span crossing a line in ``failed_lines``, reported
         in object order with ascending lines.
         """
-        if line_table.use_reference_kernels():
-            return self._rebuild_line_marks_reference(epoch, keep_old)
         states = self.table.lines
         base = self._base
         n = self.n_lines
@@ -334,37 +324,6 @@ class Block:
         )
         return live_lines, n
 
-    def _rebuild_line_marks_reference(self, epoch: int, keep_old: bool = False) -> Tuple[int, int]:
-        """The original per-line sweep, retained for bit-identity runs."""
-        states = self.line_states
-        for line in range(self.n_lines):
-            states[line] = FREE
-        for line in self.failed_lines:
-            states[line] = FAILED
-        survivors: List[SimObject] = []
-        conflicts: List[Tuple[int, int]] = []
-        line_size = self.geometry.immix_line
-        for obj in self.objects:
-            if obj.mark != epoch and not (keep_old and obj.old):
-                continue
-            survivors.append(obj)
-            state = LIVE_PINNED if obj.pinned else LIVE
-            for line in obj.line_span(line_size):
-                if states[line] == FAILED:
-                    conflicts.append((obj.oid, line))
-                    continue
-                if states[line] != LIVE_PINNED:
-                    states[line] = state
-        self.mark_conflicts = conflicts
-        self.objects = survivors
-        self.allocated_since_gc = False
-        self.touch_lines()
-        self.touch_objects()
-        live_lines = line_table.count_state(states, LIVE) + line_table.count_state(
-            states, LIVE_PINNED
-        )
-        return live_lines, self.n_lines
-
     # ------------------------------------------------------------------
     # Object extent index
     # ------------------------------------------------------------------
@@ -391,14 +350,12 @@ class Block:
     def objects_overlapping_line(self, immix_line: int) -> List[SimObject]:
         """Live objects whose extent crosses ``immix_line``.
 
-        Fast kernel: bisect into the extent index. Objects starting
-        inside the line overlap it by definition; by the no-overlap
-        invariant at most the single predecessor can span into the line
-        from the left, so one extra check suffices.
+        Bisects into the extent index. Objects starting inside the line
+        overlap it by definition; by the no-overlap invariant at most the
+        single predecessor can span into the line from the left, so one
+        extra check suffices.
         """
         line_size = self.geometry.immix_line
-        if line_table.use_reference_kernels():
-            return [obj for obj in self.objects if immix_line in obj.line_span(line_size)]
         line_start = immix_line * line_size
         line_end = line_start + line_size
         objs, starts = self.extent_index()

@@ -6,8 +6,8 @@ natural: instead of every :class:`~.block.Block` owning a private
 258-byte table, one :class:`HeapTable` holds a single ``bytearray`` of
 line states and a parallel ``bytearray`` of failure marks for the
 entire heap, and each block holds an ``(offset, length)`` view into
-them (:class:`LineSegment`). Free-run scanning, sweeping, and
-defrag-candidate ranking then become single C-speed passes over the
+them (:class:`LineSegment`). Whole-heap line counts and the search
+for blocks with free lines then become single C-speed passes over the
 whole heap (``bytes.count`` / ``bytes.find``) rather than a Python
 loop over blocks.
 
@@ -20,14 +20,11 @@ supply) are filled with :data:`UNMAPPED` too, so they drop out of every
 whole-heap aggregate, and their slots are recycled LIFO for the next
 block.
 
-The fast/reference switch (:mod:`.line_table`) layers on top: the
-whole-heap kernels each have a per-block reference twin that walks the
-active segments with the original Python loops, and
-``REPRO_KERNELS=reference`` routes every consumer through the twins
-for bit-identity comparison. Generation-invalidated caches live at
-heap scope here — any line-state mutation anywhere bumps
-:attr:`HeapTable.generation` and lazily invalidates the whole-heap
-counts, mirroring the per-block summary caches.
+Generation-invalidated caches live at heap scope here — any line-state
+mutation anywhere bumps :attr:`HeapTable.generation` and lazily
+invalidates the whole-heap counts, mirroring the per-block summary
+caches. The per-slot loops these kernels replaced are kept as oracles
+in :mod:`repro.check.oracles`.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from __future__ import annotations
 from typing import List, Optional, Union
 
 from ..hardware.geometry import Geometry
-from .line_table import FREE, use_reference_kernels
+from .line_table import FREE
 
 #: Guard/retired filler: not a valid line state, never FREE, so flat
 #: scans cannot run across block boundaries or count retired segments.
@@ -135,7 +132,7 @@ class HeapTable:
         self.generation += 1
 
     # ------------------------------------------------------------------
-    # Whole-heap kernels (fast) and their per-block reference twins
+    # Whole-heap kernels
     # ------------------------------------------------------------------
     def free_line_count(self) -> int:
         """FREE lines across the whole heap, one C-speed count.
@@ -143,51 +140,25 @@ class HeapTable:
         Guard bytes and retired segments hold UNMAPPED, so counting the
         flat array *is* the sum over active blocks.
         """
-        if use_reference_kernels():
-            return self.free_line_count_reference()
         if self._free_count_gen != self.generation:
             self._free_count = self.lines.count(FREE)
             self._free_count_gen = self.generation
         return self._free_count
 
-    def free_line_count_reference(self) -> int:
-        total = 0
-        lines = self.lines
-        for slot in self.active_slots():
-            base = slot * self.stride
-            for i in range(base, base + self.lines_per_block):
-                if lines[i] == FREE:
-                    total += 1
-        return total
-
     def failed_line_count(self) -> int:
         """Failed lines across the whole heap (one count over marks)."""
-        if use_reference_kernels():
-            return self.failed_line_count_reference()
         if self._failed_count_gen != self.generation:
             self._failed_count = self.fail_marks.count(1)
             self._failed_count_gen = self.generation
         return self._failed_count
 
-    def failed_line_count_reference(self) -> int:
-        total = 0
-        marks = self.fail_marks
-        for slot in self.active_slots():
-            base = slot * self.stride
-            for i in range(base, base + self.lines_per_block):
-                if marks[i]:
-                    total += 1
-        return total
-
     def slots_with_free_lines(self) -> List[int]:
         """Ascending slots whose segment holds at least one FREE line.
 
-        Fast kernel: ``find`` jumps from hit to hit, so the Python loop
-        runs once per *matching block*, not once per line. This is the
-        whole-heap scan behind allocation-state rebuilds.
+        ``find`` jumps from hit to hit, so the Python loop runs once per
+        *matching block*, not once per line. This is the whole-heap scan
+        behind allocation-state rebuilds.
         """
-        if use_reference_kernels():
-            return self.slots_with_free_lines_reference()
         lines = self.lines
         find = lines.find
         stride = self.stride
@@ -198,37 +169,6 @@ class HeapTable:
             slots.append(slot)
             pos = find(FREE, (slot + 1) * stride)
         return slots
-
-    def slots_with_free_lines_reference(self) -> List[int]:
-        lines = self.lines
-        slots: List[int] = []
-        for slot in self.active_slots():
-            base = slot * self.stride
-            for i in range(base, base + self.lines_per_block):
-                if lines[i] == FREE:
-                    slots.append(slot)
-                    break
-        return slots
-
-    def free_lines_in(self, slot: int) -> int:
-        """FREE lines of one segment (bounded C count; defrag ranking)."""
-        base = slot * self.stride
-        if use_reference_kernels():
-            lines = self.lines
-            return sum(
-                1 for i in range(base, base + self.lines_per_block) if lines[i] == FREE
-            )
-        return self.lines.count(FREE, base, base + self.lines_per_block)
-
-    def failed_lines_in(self, slot: int) -> int:
-        """Failed lines of one segment (bounded C count)."""
-        base = slot * self.stride
-        if use_reference_kernels():
-            marks = self.fail_marks
-            return sum(
-                1 for i in range(base, base + self.lines_per_block) if marks[i]
-            )
-        return self.fail_marks.count(1, base, base + self.lines_per_block)
 
     def segment_bytes(self, slot: int) -> bytes:
         """Immutable copy of one segment's line states."""

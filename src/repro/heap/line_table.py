@@ -7,28 +7,16 @@ bytes with spare encodings (paper section 4.2). The bump allocator never
 looks at states directly — it consumes *free runs*, the maximal spans of
 contiguous FREE lines computed here.
 
-Two kernel implementations live side by side:
-
-* the **fast** kernels scan line tables with C-speed byte-string
-  primitives (``bytes.translate`` to collapse states to a binary
-  free/unavailable mask, then ``find`` to jump from run edge to run
-  edge) — the number of Python-level steps is proportional to the
-  number of *runs*, not the number of *lines*;
-* the **reference** kernels are the original per-line Python loops,
-  kept verbatim for property testing and for bit-identity runs.
-
-This module also hosts the process-wide kernel-mode switch consulted by
-:class:`repro.heap.block.Block` and the OS failure table: ``fast`` (the
-default) uses the vectorized kernels plus generation-invalidated
-caches, ``reference`` recomputes everything per query with the naive
-loops. ``REPRO_KERNELS=reference`` selects it from the environment; the
-``repro microbench`` harness toggles it in-process to prove the two
-paths produce bit-identical results.
+The kernels scan line tables with C-speed byte-string primitives
+(``bytes.translate`` to collapse states to a binary free/unavailable
+mask, then ``find`` to jump from run edge to run edge), so the number of
+Python-level steps is proportional to the number of *runs*, not the
+number of *lines*. The per-line reference scans they replaced live on as
+oracles in :mod:`repro.check.oracles`.
 """
 
 from __future__ import annotations
 
-import os
 from typing import List, NamedTuple, Tuple
 
 #: Line states (stored one byte per line, as in MMTk's line mark table).
@@ -42,55 +30,6 @@ _STATE_NAMES = {FREE: "free", LIVE: "live", LIVE_PINNED: "pinned", FAILED: "fail
 #: ``bytes.translate`` table collapsing line states to a binary mask:
 #: FREE -> 0x00, everything else -> 0x01.
 _FREE_MASK_TABLE = bytes(0 if state == FREE else 1 for state in range(256))
-
-#: Kernel implementations selectable at runtime (see module docstring).
-KERNEL_MODES = ("fast", "reference")
-
-# Validation is deliberately lazy: importing this module must never
-# raise on a bad REPRO_KERNELS value, or every `python -m repro`
-# invocation would die with a bare traceback before the CLI could
-# print a usage message. An unknown value behaves like "fast" until
-# `validate_kernel_mode()` is consulted (the CLI calls it first and
-# exits 2 with usage on failure).
-_kernel_mode = os.environ.get("REPRO_KERNELS", "fast")
-
-
-def validate_kernel_mode() -> str:
-    """Check the active mode, raising ``ValueError`` if it is invalid.
-
-    Entry points call this once, early, and turn the error into a
-    usage message + exit status 2; library code never needs to.
-    """
-    if _kernel_mode not in KERNEL_MODES:
-        raise ValueError(
-            f"REPRO_KERNELS={_kernel_mode!r} is not one of {KERNEL_MODES}"
-        )
-    return _kernel_mode
-
-
-def kernel_mode() -> str:
-    """The active kernel implementation: ``fast`` or ``reference``."""
-    return _kernel_mode
-
-
-def use_reference_kernels() -> bool:
-    return _kernel_mode == "reference"
-
-
-def set_kernel_mode(mode: str) -> str:
-    """Select the kernel implementation; returns the previous mode.
-
-    ``reference`` also disables the per-block summary caches and the
-    failure table's bitmap caches, reproducing the recompute-on-query
-    behaviour the fast kernels replaced — that is what makes
-    fast-vs-reference end-to-end comparisons meaningful.
-    """
-    global _kernel_mode
-    if mode not in KERNEL_MODES:
-        raise ValueError(f"kernel mode {mode!r} is not one of {KERNEL_MODES}")
-    previous = _kernel_mode
-    _kernel_mode = mode
-    return previous
 
 
 def state_name(state: int) -> str:
@@ -111,8 +50,6 @@ def free_runs(line_states: bytearray) -> List[Tuple[int, int]]:
     then ``find`` locates each run edge at C speed, so the Python loop
     executes once per run rather than once per line.
     """
-    if _kernel_mode == "reference":
-        return free_runs_reference(line_states)
     mask = line_states.translate(_FREE_MASK_TABLE)
     runs: List[Tuple[int, int]] = []
     n = len(mask)
@@ -128,29 +65,12 @@ def free_runs(line_states: bytearray) -> List[Tuple[int, int]]:
     return runs
 
 
-def free_runs_reference(line_states: bytearray) -> List[Tuple[int, int]]:
-    """The original per-line scan, retained for property testing."""
-    runs: List[Tuple[int, int]] = []
-    start = None
-    for index, state in enumerate(line_states):
-        if state == FREE:
-            if start is None:
-                start = index
-        elif start is not None:
-            runs.append((start, index - start))
-            start = None
-    if start is not None:
-        runs.append((start, len(line_states) - start))
-    return runs
-
-
 class FreeRunSummary(NamedTuple):
     """Free runs plus the aggregates every consumer wants, in one pass.
 
     ``free_lines`` equals ``count_state(states, FREE)`` because the runs
-    partition the free lines (property-tested): the fast kernel counts
-    the table directly at C speed, the reference path accumulates run
-    lengths — bit-identical either way.
+    partition the free lines (property-tested against the oracle, which
+    accumulates run lengths instead of counting the table).
     """
 
     runs: List[Tuple[int, int]]
@@ -165,15 +85,6 @@ class FreeRunSummary(NamedTuple):
 
 def free_run_summary(line_states: bytearray) -> FreeRunSummary:
     """Runs, total free lines, and largest run for one table."""
-    if _kernel_mode == "reference":
-        runs = free_runs_reference(line_states)
-        free_lines = 0
-        largest = 0
-        for _start, length in runs:
-            free_lines += length
-            if length > largest:
-                largest = length
-        return FreeRunSummary(runs, free_lines, largest)
     runs = free_runs(line_states)
     if not runs:
         return FreeRunSummary(runs, 0, 0)
@@ -192,13 +103,6 @@ def largest_free_run(line_states: bytearray) -> int:
     return free_run_summary(line_states).largest_run
 
 
-def largest_free_run_reference(line_states: bytearray) -> int:
-    best = 0
-    for _, length in free_runs_reference(line_states):
-        best = max(best, length)
-    return best
-
-
 def count_state(line_states: bytearray, state: int) -> int:
     return line_states.count(state)
 
@@ -207,11 +111,9 @@ def fragmentation_index(line_states: bytearray) -> float:
     """How chopped-up the free space is: 0 = one run, ->1 = maximally split.
 
     Defined as ``1 - largest_run / total_free``; 0.0 when no free lines.
-    The fast path skips the :class:`FreeRunSummary` construction — same
-    arithmetic, so the result is bit-identical to the reference.
+    Skips the :class:`FreeRunSummary` construction; the final division
+    is the same, so the float is bit-identical to the summary's.
     """
-    if _kernel_mode == "reference":
-        return fragmentation_index_reference(line_states)
     runs = free_runs(line_states)
     if not runs:
         return 0.0
@@ -220,11 +122,3 @@ def fragmentation_index(line_states: bytearray) -> float:
         if run[1] > largest:
             largest = run[1]
     return 1.0 - largest / line_states.count(FREE)
-
-
-def fragmentation_index_reference(line_states: bytearray) -> float:
-    """The original double-scan formulation (count, then run list)."""
-    total_free = count_state(line_states, FREE)
-    if total_free == 0:
-        return 0.0
-    return 1.0 - largest_free_run_reference(line_states) / total_free

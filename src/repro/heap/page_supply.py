@@ -28,7 +28,6 @@ from typing import Callable, FrozenSet, List, Optional
 from ..errors import OutOfMemoryError
 from ..faults.accounting import PerfectPageAccountant
 from ..hardware.geometry import Geometry
-from . import line_table
 
 #: Span owners.
 SPAN_FREE = 0
@@ -110,8 +109,8 @@ class PageSupply:
         #: Incremental mirror of ``free_real_pages``: every span.free
         #: mutation below adjusts it, so the allocator's frequent
         #: ``available_pages()`` probes cost O(1) instead of a
-        #: generator pass over all spans. ``REPRO_KERNELS=reference``
-        #: recomputes the sum per query as the oracle.
+        #: generator pass over all spans. The paranoid auditor checks it
+        #: against :meth:`recount_free_pages`.
         self._free_pages = usable
         #: Synthetic borrowed (DRAM) pages currently held by fussy users.
         self._borrowed_held: List[HeapPage] = []
@@ -164,12 +163,10 @@ class PageSupply:
 
     @property
     def free_real_pages(self) -> int:
-        if line_table.use_reference_kernels():
-            return sum(len(span.free) for span in self._spans)
         return self._free_pages
 
     def recount_free_pages(self) -> int:
-        """The non-incremental sum (invariant checking, reference mode)."""
+        """The non-incremental sum the auditor checks ``free_real_pages`` by."""
         return sum(len(span.free) for span in self._spans)
 
     def available_pages(self) -> int:

@@ -10,8 +10,8 @@ offset set per page is memoized until that page's bitmap changes, the
 module-wide failed-line count is maintained incrementally on every
 ``record_failure``, and run counting for the compression estimate uses
 a transition-popcount identity instead of walking all 64 bit positions.
-``REPRO_KERNELS=reference`` (:mod:`repro.heap.line_table`) restores the
-original per-bit loops for bit-identity comparison.
+The per-bit loops these replaced are kept as oracles in
+:mod:`repro.check.oracles`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, List, Set
 
 from ..hardware.geometry import Geometry
-from ..heap import line_table
 
 
 def _popcount(bits: int) -> int:
@@ -67,20 +66,15 @@ class FailureTable:
     def failed_offsets(self, page_index: int) -> FrozenSet[int]:
         """Decoded failed-line offsets of a page (memoized per bitmap).
 
-        Fast kernel: extract set bits directly (``bitmap & -bitmap``
-        isolates the lowest one), so decoding costs one step per failure
-        instead of one per bit position; the frozenset is cached until
-        the page's bitmap changes. Callers only read the result.
+        Set bits are extracted directly (``bitmap & -bitmap`` isolates
+        the lowest one), so decoding costs one step per failure instead
+        of one per bit position; the frozenset is cached until the
+        page's bitmap changes. Callers only read the result.
         """
-        bitmap = self.bitmap(page_index)
-        if line_table.use_reference_kernels():
-            return frozenset(
-                i for i in range(self.geometry.lines_per_page) if bitmap >> i & 1
-            )
         cached = self._offsets_cache.get(page_index)
         if cached is None:
             offsets = []
-            bits = bitmap
+            bits = self.bitmap(page_index)
             while bits:
                 lsb = bits & -bits
                 offsets.append(lsb.bit_length() - 1)
@@ -96,12 +90,10 @@ class FailureTable:
         """Sorted imperfect page indices (cached until a page degrades).
 
         Pages never un-fail, so the sorted list only changes when a
-        perfect page records its first failure; the fast kernel resorts
-        only then instead of on every query. Callers get a copy either
-        way — mutating the result cannot poison the cache.
+        perfect page records its first failure, and only then is it
+        resorted. Callers get a copy — mutating the result cannot poison
+        the cache.
         """
-        if line_table.use_reference_kernels():
-            return sorted(page for page, bits in self._bitmaps.items() if bits)
         if not self._imperfect_cache_valid:
             self._imperfect_cache = sorted(
                 page for page, bits in self._bitmaps.items() if bits
@@ -110,8 +102,6 @@ class FailureTable:
         return list(self._imperfect_cache)
 
     def failed_line_count(self) -> int:
-        if line_table.use_reference_kernels():
-            return sum(_popcount(bits) for bits in self._bitmaps.values())
         return self._failed_count
 
     # ------------------------------------------------------------------
@@ -126,8 +116,14 @@ class FailureTable:
         cls, snapshot: Dict[int, int], n_pages: int, geometry: Geometry
     ) -> "FailureTable":
         table = cls(n_pages, geometry)
+        limit = 1 << geometry.lines_per_page
         for page, bits in snapshot.items():
             table._check(page, 0)
+            if not 0 <= bits < limit:
+                raise ValueError(
+                    f"page {page}'s bitmap {bits:#x} does not fit "
+                    f"{geometry.lines_per_page} lines"
+                )
             table._bitmaps[page] = bits
             table._failed_count += _popcount(bits)
         table._imperfect_cache_valid = False
@@ -158,27 +154,17 @@ class FailureTable:
         2-byte page delta plus an RLE bitmap of its 64 line bits (one
         byte per run, up to 8 bytes, whichever is smaller than raw).
 
-        Fast kernel: the run count of the bit sequence b0..b(L-1) is one
+        The run count of the bit sequence b0..b(L-1) is one
         plus its number of adjacent transitions, and each transition is
         a set bit of ``bitmap ^ (bitmap >> 1)`` below position L-1 — so
         a popcount replaces the per-bit scan.
         """
         per_page = self.geometry.lines_per_page
-        reference = line_table.use_reference_kernels()
         transition_mask = (1 << (per_page - 1)) - 1
         total = 0
         for page in self.imperfect_pages():
             bitmap = self._bitmaps[page]
-            if reference:
-                runs = 0
-                previous = None
-                for i in range(per_page):
-                    bit = bitmap >> i & 1
-                    if bit != previous:
-                        runs += 1
-                        previous = bit
-            else:
-                runs = 1 + _popcount((bitmap ^ (bitmap >> 1)) & transition_mask)
+            runs = 1 + _popcount((bitmap ^ (bitmap >> 1)) & transition_mask)
             total += 2 + min(runs, per_page // 8)
         return total
 

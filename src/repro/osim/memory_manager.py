@@ -22,7 +22,6 @@ from ..errors import ProtocolError
 from ..hardware.failure_buffer import InterruptKind
 from ..hardware.geometry import Geometry
 from ..hardware.pcm import PcmModule
-from ..heap import line_table
 from .failure_table import FailureTable
 from .page import PhysicalPage
 from .pools import PagePools
@@ -90,30 +89,22 @@ class OsMemoryManager:
 
     # ------------------------------------------------------------------
     def _absorb_static_failures(self) -> None:
+        # Absorption runs at construction, before any tracer can be
+        # attached, so there are no per-line trace events to emit: the
+        # lines are recorded one by one and the pools rebuilt once.
         lines = sorted(self.pcm.failed_logical_lines())
-        # Bulk kernel: absorption runs at construction, before any
-        # tracer is attached, so the per-line path's tracer hooks have
-        # nothing to emit and the only observable effect is the final
-        # table/pool state — which the bulk path reproduces exactly
-        # (same per-line recording, one batched pool rebuild).
-        if lines and self.tracer is None and not line_table.use_reference_kernels():
-            self._absorb_static_failures_bulk(lines)
-        else:
-            for line in lines:
-                self._record_line_failure(line)
+        if lines:
+            per_page = self.geometry.lines_per_page
+            record = self.failure_table.record_failure
+            page_of = self.pools.page
+            degraded: List[int] = []
+            for global_line in lines:
+                page_index, offset = divmod(global_line, per_page)
+                if record(page_index, offset):
+                    degraded.append(page_index)
+                page_of(page_index).record_failure(offset)
+            self.pools.note_pages_degraded(degraded)
         self.pcm.take_pending_failures()
-
-    def _absorb_static_failures_bulk(self, lines: List[int]) -> None:
-        per_page = self.geometry.lines_per_page
-        record = self.failure_table.record_failure
-        page_of = self.pools.page
-        degraded: List[int] = []
-        for global_line in lines:
-            page_index, offset = divmod(global_line, per_page)
-            if record(page_index, offset):
-                degraded.append(page_index)
-            page_of(page_index).record_failure(offset)
-        self.pools.note_pages_degraded(degraded)
 
     def _record_line_failure(self, global_line: int) -> FailureEvent:
         per_page = self.geometry.lines_per_page

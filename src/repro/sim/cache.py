@@ -97,11 +97,7 @@ def code_fingerprint() -> str:
     the hash is computed once per process. The hot-path kernels
     (``repro/heap/line_table.py``, ``repro/heap/block.py``, the OS
     failure table) are ordinary package sources, so editing a kernel
-    rolls every key — no stale cross-version hits. The *runtime*
-    ``REPRO_KERNELS`` fast/reference switch deliberately does NOT enter
-    the key: both paths are property-tested and CI-enforced to produce
-    bit-identical ``RunResult`` payloads, so sharing entries between
-    them is correct.
+    rolls every key — no stale cross-version hits.
     """
     package_root = Path(__file__).resolve().parent.parent
     digest = hashlib.sha256()

@@ -1,8 +1,8 @@
 """Whole-heap structure-of-arrays table tests (heap/heap_table.py).
 
 The flat :class:`~repro.heap.heap_table.HeapTable` must agree with the
-per-slot reference twins on every kernel, for every slot population —
-including the edges the ISSUE calls out: an empty heap, all-FAILED
+per-slot oracles (:mod:`repro.check.oracles`) on every kernel, for
+every slot population — including the edges: an empty heap, all-FAILED
 segments, and single-line free runs butting against block boundaries
 (the guard byte must keep them from merging). Hypothesis drives
 arbitrary segment contents and retire patterns; hand-built cases pin
@@ -13,20 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.check import oracles
 from repro.hardware.geometry import Geometry
-from repro.heap import line_table
 from repro.heap.heap_table import UNMAPPED, HeapTable, LineSegment
 from repro.heap.line_table import FAILED, FREE, LIVE, LIVE_PINNED
 
 GEOMETRY = Geometry()
 N_LINES = GEOMETRY.immix_lines_per_block
-
-
-@pytest.fixture(autouse=True)
-def _restore_kernel_mode():
-    previous = line_table.kernel_mode()
-    yield
-    line_table.set_kernel_mode(previous)
 
 
 class Owner:
@@ -52,31 +45,19 @@ def fill(table, slot, states):
 
 
 def reference_results(table):
-    previous = line_table.set_kernel_mode("reference")
-    try:
-        return (
-            table.free_line_count(),
-            table.failed_line_count(),
-            table.slots_with_free_lines(),
-            [table.free_lines_in(s) for s in table.active_slots()],
-            [table.failed_lines_in(s) for s in table.active_slots()],
-        )
-    finally:
-        line_table.set_kernel_mode(previous)
+    return (
+        oracles.heap_free_line_count(table),
+        oracles.heap_failed_line_count(table),
+        oracles.slots_with_free_lines(table),
+    )
 
 
 def fast_results(table):
-    previous = line_table.set_kernel_mode("fast")
-    try:
-        return (
-            table.free_line_count(),
-            table.failed_line_count(),
-            table.slots_with_free_lines(),
-            [table.free_lines_in(s) for s in table.active_slots()],
-            [table.failed_lines_in(s) for s in table.active_slots()],
-        )
-    finally:
-        line_table.set_kernel_mode(previous)
+    return (
+        table.free_line_count(),
+        table.failed_line_count(),
+        table.slots_with_free_lines(),
+    )
 
 
 line_state = st.sampled_from([FREE, LIVE, LIVE_PINNED, FAILED])
@@ -127,8 +108,8 @@ class TestKernelEquivalence:
         fill(table, second, [FREE] + [LIVE] * (N_LINES - 1))
         assert table.free_line_count() == 2
         assert table.slots_with_free_lines() == [first, second]
-        assert table.free_lines_in(first) == 1
-        assert table.free_lines_in(second) == 1
+        assert table.segment_bytes(first).count(FREE) == 1
+        assert table.segment_bytes(second).count(FREE) == 1
         assert fast_results(table) == reference_results(table)
 
     def test_retired_hole_mid_heap(self):
@@ -165,7 +146,7 @@ class TestSlotLifecycle:
         assert table.register(object()) == slots[2]
         assert table.register(object()) == slots[0]
         # A recycled slot starts FREE again.
-        assert table.free_lines_in(slots[2]) == N_LINES
+        assert table.segment_bytes(slots[2]).count(FREE) == N_LINES
 
     def test_retire_is_idempotent(self):
         table = HeapTable(GEOMETRY)

@@ -1,12 +1,11 @@
-"""Fast-vs-reference kernel equivalence (property + edge-case tests).
+"""Kernel-vs-oracle equivalence (property + edge-case tests).
 
 The vectorized kernels in :mod:`repro.heap.line_table`,
 :class:`repro.heap.block.Block`, and the OS failure table must be
-bit-identical to the retained pure-Python reference implementations on
-every input — that is what lets ``REPRO_KERNELS`` switch between them
-without perturbing any experiment. Hypothesis drives arbitrary line
-tables; hand-built cases pin the edges (empty, all-FAILED, all-FREE,
-single-line runs at both boundaries).
+bit-identical to the pure-Python reference oracles in
+:mod:`repro.check.oracles` on every input. Hypothesis drives arbitrary
+line tables; hand-built cases pin the edges (empty, all-FAILED,
+all-FREE, single-line runs at both boundaries).
 """
 
 import random
@@ -15,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.check import oracles
 from repro.hardware.geometry import Geometry
 from repro.heap import line_table
 from repro.heap.block import Block, sorted_defrag_candidates
@@ -27,21 +27,6 @@ from repro.sim.microbench import (
     build_synthetic_failure_table,
     synthetic_line_tables,
 )
-
-
-@pytest.fixture(autouse=True)
-def _restore_kernel_mode():
-    previous = line_table.kernel_mode()
-    yield
-    line_table.set_kernel_mode(previous)
-
-
-def in_reference_mode(fn, *args, **kwargs):
-    previous = line_table.set_kernel_mode("reference")
-    try:
-        return fn(*args, **kwargs)
-    finally:
-        line_table.set_kernel_mode(previous)
 
 
 def states(*chars):
@@ -67,50 +52,26 @@ EDGE_TABLES = [
 ]
 
 
-class TestKernelModeSwitch:
-    def test_set_returns_previous_and_applies(self):
-        line_table.set_kernel_mode("fast")
-        assert line_table.kernel_mode() == "fast"
-        assert not line_table.use_reference_kernels()
-        assert line_table.set_kernel_mode("reference") == "fast"
-        assert line_table.use_reference_kernels()
-        assert line_table.set_kernel_mode("fast") == "reference"
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            line_table.set_kernel_mode("turbo")
-
-    def test_reference_mode_routes_free_runs(self):
-        table = states("..L.")
-        line_table.set_kernel_mode("reference")
-        assert line_table.free_runs(table) == [(0, 2), (3, 1)]
-
-
 class TestScanEquivalence:
     @pytest.mark.parametrize("table", EDGE_TABLES, ids=repr)
     def test_edges(self, table):
-        assert line_table.free_runs(table) == line_table.free_runs_reference(table)
-        fast = line_table.free_run_summary(table)
-        reference = in_reference_mode(line_table.free_run_summary, table)
-        assert fast == reference
+        assert line_table.free_runs(table) == oracles.free_runs(table)
+        assert line_table.free_run_summary(table) == oracles.free_run_summary(table)
         assert line_table.fragmentation_index(
             table
-        ) == line_table.fragmentation_index_reference(table)
-        assert line_table.largest_free_run(
-            table
-        ) == line_table.largest_free_run_reference(table)
+        ) == oracles.fragmentation_index(table)
+        assert line_table.largest_free_run(table) == oracles.largest_free_run(table)
 
     @given(st.binary(min_size=0, max_size=600).map(bytearray))
     def test_free_runs_property(self, raw):
         table = bytearray(b % 4 for b in raw)
-        assert line_table.free_runs(table) == line_table.free_runs_reference(table)
+        assert line_table.free_runs(table) == oracles.free_runs(table)
 
     @given(st.binary(min_size=0, max_size=600).map(bytearray))
     def test_summary_property(self, raw):
         table = bytearray(b % 4 for b in raw)
         fast = line_table.free_run_summary(table)
-        reference = in_reference_mode(line_table.free_run_summary, table)
-        assert fast == reference
+        assert fast == oracles.free_run_summary(table)
         assert fast.free_lines == line_table.count_state(table, FREE)
 
     @given(st.binary(min_size=0, max_size=600).map(bytearray))
@@ -120,7 +81,7 @@ class TestScanEquivalence:
         # execute the same final division.
         assert line_table.fragmentation_index(
             table
-        ) == line_table.fragmentation_index_reference(table)
+        ) == oracles.fragmentation_index(table)
 
     def test_synthetic_profiles_agree(self):
         for immix_line in (64, 128, 256):
@@ -128,9 +89,7 @@ class TestScanEquivalence:
             for table in synthetic_line_tables(
                 geometry.immix_lines_per_block
             ).values():
-                assert line_table.free_runs(
-                    table
-                ) == line_table.free_runs_reference(table)
+                assert line_table.free_runs(table) == oracles.free_runs(table)
 
 
 # ======================================================================
@@ -149,7 +108,6 @@ def fresh_block(geometry=None, failed=(3, 17)):
 
 class TestBlockSummaryCache:
     def test_cache_hit_returns_same_object(self):
-        line_table.set_kernel_mode("fast")
         block = fresh_block()
         assert block.line_summary() is block.line_summary()
 
@@ -166,7 +124,6 @@ class TestBlockSummaryCache:
         # Allocation never mutates line states, so the cached summary
         # must survive placements (the original code rescanned the
         # unchanged table; same answer either way).
-        line_table.set_kernel_mode("fast")
         block = fresh_block()
         before = block.line_summary()
         block.place(ObjectFactory().make(64), 0)
@@ -181,25 +138,15 @@ class TestBlockSummaryCache:
             block.largest_hole_bytes(),
             block.fragmentation_index(),
         )
-        reference = in_reference_mode(
-            lambda: (
-                block.free_runs(),
-                block.free_line_count(),
-                block.usable_bytes(),
-                block.largest_hole_bytes(),
-                block.fragmentation_index(),
-            )
+        summary = oracles.free_run_summary(block.line_states)
+        line = block.geometry.immix_line
+        assert fast == (
+            summary.runs,
+            summary.free_lines,
+            summary.free_lines * line,
+            summary.largest_run * line,
+            oracles.fragmentation_index(block.line_states),
         )
-        assert fast == reference
-
-    def test_reference_mode_bypasses_cache(self):
-        block = fresh_block()
-        block.line_summary()
-        line_table.set_kernel_mode("reference")
-        # Mutate WITHOUT touching: the reference path recomputes per
-        # query, so it must see the change the stale cache would miss.
-        block.line_states[40] = LIVE
-        assert block.line_summary().free_lines == block.n_lines - 3
 
 
 def sweep_state(block):
@@ -225,7 +172,7 @@ class TestSweepEquivalence:
                 if rng.random() < 0.3:
                     obj.mark = 0
         fast_counts = fast.rebuild_line_marks(1)
-        reference_counts = in_reference_mode(reference.rebuild_line_marks, 1)
+        reference_counts = oracles.rebuild_line_marks(reference, 1)
         assert fast_counts == reference_counts
         assert sweep_state(fast) == sweep_state(reference)
 
@@ -237,9 +184,7 @@ class TestSweepEquivalence:
         reference = build_synthetic_block(
             geometry, 7, object_sizes=MULTI_LINE_OBJECT_SIZES
         )
-        assert fast.rebuild_line_marks(1) == in_reference_mode(
-            reference.rebuild_line_marks, 1
-        )
+        assert fast.rebuild_line_marks(1) == oracles.rebuild_line_marks(reference, 1)
         assert sweep_state(fast) == sweep_state(reference)
 
     def test_keep_old_sticky_sweep(self):
@@ -249,8 +194,8 @@ class TestSweepEquivalence:
             for index, obj in enumerate(block.objects):
                 obj.mark = 0
                 obj.old = index % 3 == 0
-        assert fast.rebuild_line_marks(9, keep_old=True) == in_reference_mode(
-            reference.rebuild_line_marks, 9, keep_old=True
+        assert fast.rebuild_line_marks(9, keep_old=True) == oracles.rebuild_line_marks(
+            reference, 9, keep_old=True
         )
         assert sweep_state(fast) == sweep_state(reference)
 
@@ -264,7 +209,7 @@ class TestSweepEquivalence:
             obj.mark = 1
             block.place(obj, geometry.immix_line)  # spans lines 1..3
         fast.rebuild_line_marks(1)
-        in_reference_mode(reference.rebuild_line_marks, 1)
+        oracles.rebuild_line_marks(reference, 1)
         assert fast.mark_conflicts == [(99, 2)]
         assert sweep_state(fast) == sweep_state(reference)
 
@@ -274,9 +219,7 @@ class TestExtentIndex:
         block = build_synthetic_block(Geometry(), seed=11)
         for line in range(block.n_lines):
             fast = [o.oid for o in block.objects_overlapping_line(line)]
-            reference = in_reference_mode(
-                lambda: [o.oid for o in block.objects_overlapping_line(line)]
-            )
+            reference = [o.oid for o in oracles.objects_overlapping_line(block, line)]
             assert fast == reference
 
     def test_remove_object_invalidates(self):
@@ -315,8 +258,8 @@ class TestDefragOrdering:
         blocks += [fresh_block(), fresh_block()]  # guaranteed tie pair
         expected = sorted(blocks, key=sort_key_most_holes)
         assert sorted_defrag_candidates(blocks) == expected
-        assert sorted_defrag_candidates(blocks) == in_reference_mode(
-            lambda: sorted_defrag_candidates(blocks)
+        assert sorted_defrag_candidates(blocks) == oracles.sorted_defrag_candidates(
+            blocks
         )
 
 
@@ -332,12 +275,10 @@ class TestFailureTableEquivalence:
             table.compressed_size_bytes(),
             {page: set(table.failed_offsets(page)) for page in pages},
         )
-        reference = in_reference_mode(
-            lambda: (
-                table.failed_line_count(),
-                table.compressed_size_bytes(),
-                {page: set(table.failed_offsets(page)) for page in pages},
-            )
+        reference = (
+            oracles.failed_line_count(table),
+            oracles.compressed_size_bytes(table),
+            {page: set(oracles.failed_offsets(table, page)) for page in pages},
         )
         assert fast == reference
 
@@ -353,9 +294,7 @@ class TestFailureTableEquivalence:
         fresh = next(p for p in range(table.n_pages) if table.is_perfect(p))
         table.record_failure(fresh, 0)
         assert table.failed_line_count() == before + 1
-        assert table.failed_line_count() == in_reference_mode(
-            table.failed_line_count
-        )
+        assert table.failed_line_count() == oracles.failed_line_count(table)
 
     def test_restore_round_trip(self):
         geometry = Geometry()

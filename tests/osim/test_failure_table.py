@@ -70,6 +70,18 @@ class TestPersistence:
         with pytest.raises(IndexError):
             FailureTable.restore({9: 1}, 4, G)
 
+    def test_restore_validates_bitmaps(self):
+        # A bit at or above lines_per_page names a line outside the
+        # page, and a negative bitmap has infinitely many set bits: the
+        # decoder would spin on it. Both are rejected at restore time.
+        with pytest.raises(ValueError):
+            FailureTable.restore({0: (1 << G.lines_per_page) | 1}, 4, G)
+        with pytest.raises(ValueError):
+            FailureTable.restore({0: -1}, 4, G)
+        full = (1 << G.lines_per_page) - 1
+        restored = FailureTable.restore({0: full}, 4, G)
+        assert restored.failed_offsets(0) == set(range(G.lines_per_page))
+
 
 class TestStorageOverhead:
     def test_paper_overhead_fraction(self):

@@ -5,7 +5,6 @@ oracle is a set of golden ``RunResult`` dumps generated at the commit
 *before* the policy refactor (``tests/golden/*.json``); every test here
 asserts today's simulator reproduces them byte-for-byte:
 
-* under both heap-kernel implementations (``REPRO_KERNELS`` contract),
 * through every executor shape (inline, forked workers, and forked
   workers under a retry policy and timeout),
 * and — hypothesis-driven — at the serialization layer, where a config
@@ -22,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults.generator import FailureModel
-from repro.heap import line_table
 from repro.sim.cache import (
     cache_key,
     config_from_dict,
@@ -49,29 +47,12 @@ def golden_case(path):
     )
 
 
-@pytest.fixture(autouse=True)
-def _restore_modes():
-    kernel = line_table.kernel_mode()
-    yield
-    line_table.set_kernel_mode(kernel)
-
-
 @pytest.mark.parametrize("path", GOLDEN_FILES, ids=lambda p: p.stem)
 def test_default_policies_match_pre_refactor_golden(path):
     config, expected = golden_case(path)
     assert config.wear_policy == "none"
     assert config.pool_policy == "paper"
     assert config.placement_policy == "paper"
-    assert canonical(run_benchmark(config)) == expected
-
-
-@pytest.mark.parametrize("kernels", ["fast", "reference"])
-def test_golden_reproduced_under_both_kernel_modes(kernels):
-    # One golden suffices per mode: kernel equivalence across the full
-    # input space is property-tested in tests/heap; this pins the
-    # end-to-end composition with the policy seams in place.
-    config, expected = golden_case(GOLDEN_FILES[0])
-    line_table.set_kernel_mode(kernels)
     assert canonical(run_benchmark(config)) == expected
 
 

@@ -74,18 +74,6 @@ class TestParser:
 
 
 class TestCommands:
-    def test_cli_exits_2_on_bad_kernels(self):
-        # A typo'd REPRO_KERNELS is a usage error, not an import-time
-        # traceback.
-        from repro.heap import line_table
-
-        previous = line_table._kernel_mode
-        line_table._kernel_mode = "refrence"
-        try:
-            assert main(["workloads"]) == 2
-        finally:
-            line_table._kernel_mode = previous
-
     def test_workloads_lists_all(self, capsys):
         assert main(["workloads"]) == 0
         out = capsys.readouterr().out
