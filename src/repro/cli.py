@@ -11,7 +11,6 @@ Commands
 ``check``      run a randomized fault-injection audit campaign
 ``microbench`` time the hot-path kernels against their reference oracles
 ``lifetime``   age a PCM module under a wear-management strategy
-``serve``      long-running shared-cache experiment service (HTTP)
 ``workloads``  list the synthetic DaCapo-style workloads
 
 Grids can be spelled as flags or as declarative **experiment plans**
@@ -80,8 +79,6 @@ Examples::
     python -m repro check --seed 0
     python -m repro microbench --iterations 2000 --out BENCH_kernels.json
     python -m repro lifetime --strategy retire --iterations 10
-    python -m repro serve --port 8321 --cache-dir .repro-cache --jobs 4
-    python -m repro.serve.client plans/smoke.yaml --out artifact.json
 """
 
 from __future__ import annotations
@@ -490,20 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="continue an aging study from a lifetime snapshot (pass "
         "the same strategy/workload/endurance arguments)",
     )
-
-    serve = sub.add_parser(
-        "serve",
-        help="run the long-lived shared-cache experiment service",
-    )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument(
-        "--port",
-        type=int,
-        default=8321,
-        help="listen port (0 = ephemeral; default: %(default)s)",
-    )
-    _add_execution_arguments(serve)
-    _add_fault_tolerance_arguments(serve)
 
     sub.add_parser("workloads", help="list workloads")
     return parser
@@ -1418,38 +1401,6 @@ def cmd_lifetime(args) -> int:
     return 0
 
 
-def cmd_serve(args) -> int:
-    from .serve.server import ExperimentService
-
-    cache = _build_cache(args)
-    if cache is None:
-        obslog.warn(
-            "serve: no --cache-dir; cross-client dedup is limited to jobs "
-            "sharing this process lifetime (results are not persisted)"
-        )
-    service = ExperimentService(
-        host=args.host,
-        port=args.port,
-        cache=cache,
-        jobs=args.jobs,
-        retry=_build_retry_policy(args),
-        timeout_s=args.timeout,
-    )
-    host, port = service.address
-    obslog.info(f"serve: listening on http://{host}:{port}")
-    obslog.info(
-        "serve: POST /jobs | GET /jobs/<id> | GET /jobs/<id>/artifact | "
-        "GET /healthz | GET /metrics"
-    )
-    try:
-        service.serve_forever()
-    except KeyboardInterrupt:
-        obslog.info("serve: interrupted, draining")
-    finally:
-        service.shutdown()
-    return 0
-
-
 def cmd_workloads(_args) -> int:
     for spec in DACAPO:
         obslog.out(f"{spec.name:13s} {spec.describe()}")
@@ -1499,7 +1450,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "workloads": cmd_workloads,
         "plan": cmd_plan,
         "report": cmd_report,
-        "serve": cmd_serve,
     }
     try:
         return handlers[args.command](args)

@@ -13,9 +13,8 @@ are sorted by name, samples by label value, histogram buckets are
 cumulative with a ``+Inf`` terminal bucket plus ``_sum``/``_count``.
 
 Thread safety: a registry and every metric it creates share one
-re-entrant lock, so worker threads incrementing counters while a
-``/metrics`` scrape renders (the ``repro serve`` daemon does exactly
-this) can never observe torn state — a histogram whose ``_count``
+re-entrant lock, so threads incrementing counters while another
+renders can never observe torn state — a histogram whose ``_count``
 disagrees with its ``+Inf`` bucket, or a counter incremented between
 two samples of the same render. Mutations are short critical sections;
 a render holds the lock for the whole snapshot.
@@ -136,10 +135,6 @@ class Gauge:
         with self._lock:
             self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self.value -= amount
-
     def samples(self) -> List[Tuple[str, float]]:
         with self._lock:
             return [(self.name + _label_str(self.labels), self.value)]
@@ -183,28 +178,6 @@ class Histogram:
                     self.bucket_counts[i] += 1
                     return
             self.bucket_counts[-1] += 1
-
-    def percentile(self, q: float) -> float:
-        """Approximate quantile from bucket boundaries (for reports).
-
-        Returns the upper bound of the bucket containing the q-th
-        observation. ``q <= 0`` is clamped to 0.0 (there is no lower
-        bound to report, and the first bucket's upper bound would
-        overstate the minimum). When the target observation landed in
-        the overflow bucket, returns ``inf``: the histogram genuinely
-        does not know how large those observations were, and reporting
-        the largest finite bound would silently understate the tail.
-        """
-        with self._lock:
-            if self.count == 0 or q <= 0.0:
-                return 0.0
-            target = min(q, 1.0) * self.count
-            running = 0
-            for i, bound in enumerate(self.bounds):
-                running += self.bucket_counts[i]
-                if running >= target:
-                    return bound
-            return float("inf")
 
     def samples(self) -> List[Tuple[str, float]]:
         with self._lock:

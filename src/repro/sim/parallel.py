@@ -553,7 +553,7 @@ def run_grid(
 
     ``ledger`` is the flight recorder (:mod:`repro.obs.ledger`):
     parent-side events go through it (and its listeners — live
-    progress, serve job counters); workers append straight to its
+    progress); workers append straight to its
     ``path``, if any. ``profile_dir`` arms per-attempt cProfile
     spooling in workers. Both are strictly observational — they never
     change the returned results.

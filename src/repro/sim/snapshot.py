@@ -20,9 +20,22 @@ by identity. Pickle preserves that sharing natively; every layer
 defines ``__getstate__`` hooks that strip process wiring (tracers,
 interrupt callbacks, upcall handlers) and re-solder it on restore.
 
+Pickle recurses once per nested object, so left alone its depth would
+follow the longest reference chain through the heap and a large enough
+heap would overflow the interpreter stack. Heap objects are therefore
+written flat: wherever a :class:`~repro.heap.object_model.SimObject`
+appears in the state it is pickled as an empty shell, and its fields
+(``refs`` among them, as back-references to other shells) follow in an
+object table after the state. Restore loads the state, then fills each
+shell from its table record. Pickle depth is bounded by the nesting of
+the layers' own structures, whatever the shape of the heap.
+
 On disk a snapshot is a small versioned envelope::
 
-    magic · header-length · JSON header · zlib-compressed pickle
+    magic · header-length · JSON header · zlib-compressed pickle stream
+
+The pickle stream is the state followed by the object table, written
+in batches and closed by ``None``.
 
 The header carries the schema version, the snapshot kind, caller
 metadata, a SHA-256 of the payload, and the :func:`code fingerprint
@@ -34,21 +47,29 @@ void the bit-identity guarantee, so a fingerprint mismatch raises
 
 from __future__ import annotations
 
+import copyreg
 import hashlib
+import io
 import json
+import operator
 import os
 import pickle
 import struct
 import tempfile
 import zlib
-from typing import Any, Optional
+from typing import Any, List, Optional
 
 from ..errors import SnapshotError
+from ..heap.object_model import SimObject
 
 #: First bytes of every snapshot file.
 SNAPSHOT_MAGIC = b"REPROSNAP\n"
 #: Envelope schema version; bump on any incompatible layout change.
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
+
+#: The fields of one object-table record, in record order.
+_OBJECT_FIELDS = SimObject.__slots__
+_object_record = operator.attrgetter(*_OBJECT_FIELDS)
 
 _HEADER_LEN = struct.Struct(">I")
 
@@ -59,6 +80,47 @@ def _code_fingerprint() -> str:
     from .cache import code_fingerprint
 
     return code_fingerprint()
+
+
+class _FlatHeapPickler(pickle.Pickler):
+    """Pickles each SimObject as a shell and queues it for the table.
+
+    A shell is memoized like any pickled object, so every later
+    mention of the same object is a back-reference to it.
+    """
+
+    def __init__(self, file) -> None:
+        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
+        self.pending: List[SimObject] = []
+
+    def reducer_override(self, obj):
+        if type(obj) is SimObject:
+            self.pending.append(obj)
+            return copyreg.__newobj__, (SimObject,)
+        return NotImplemented
+
+
+def _dumps(state: Any) -> bytes:
+    buffer = io.BytesIO()
+    pickler = _FlatHeapPickler(buffer)
+    pickler.dump(state)
+    # Writing a batch of records meets the objects their fields
+    # reference; those not yet written queue up for the next batch.
+    while pickler.pending:
+        batch, pickler.pending = pickler.pending, []
+        pickler.dump([(obj, _object_record(obj)) for obj in batch])
+    pickler.dump(None)
+    return buffer.getvalue()
+
+
+def _loads(blob: bytes) -> Any:
+    unpickler = pickle.Unpickler(io.BytesIO(blob))
+    state = unpickler.load()
+    for batch in iter(unpickler.load, None):
+        for obj, values in batch:
+            for name, value in zip(_OBJECT_FIELDS, values):
+                setattr(obj, name, value)
+    return state
 
 
 class MachineSnapshot:
@@ -89,8 +151,7 @@ class MachineSnapshot:
         cls, state: Any, kind: str = "bench", meta: Optional[dict] = None
     ) -> "MachineSnapshot":
         """Serialize ``state`` now; the live objects are not retained."""
-        blob = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-        return cls(kind=kind, meta=dict(meta or {}), blob=blob)
+        return cls(kind=kind, meta=dict(meta or {}), blob=_dumps(state))
 
     def restore(self, check_fingerprint: bool = True) -> Any:
         """Materialize the captured state graph.
@@ -98,7 +159,8 @@ class MachineSnapshot:
         Every restored object passes through its layer's
         ``__setstate__`` hook, so the cooperation wiring (interrupt
         line, failure-upcall handler) comes back soldered and in the
-        paper's protocol order.
+        paper's protocol order. Those hooks run before the object table
+        is read, so they must not look inside heap objects.
         """
         if check_fingerprint:
             current = _code_fingerprint()
@@ -110,7 +172,7 @@ class MachineSnapshot:
                     f"break bit-identity. Pass check_fingerprint=False to "
                     f"override."
                 )
-        return pickle.loads(self._blob)
+        return _loads(self._blob)
 
     # ------------------------------------------------------------------
     # Envelope

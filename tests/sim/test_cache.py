@@ -1,6 +1,7 @@
 """Tests for the persistent content-addressed result cache."""
 
 import json
+import multiprocessing
 import os
 import time
 from dataclasses import replace
@@ -18,6 +19,7 @@ from repro.sim.cache import (
     result_to_dict,
 )
 from repro.sim.machine import RunConfig, run_benchmark
+from repro.sim.parallel import run_grid
 
 QUICK = RunConfig(
     workload="luindex",
@@ -234,3 +236,50 @@ class TestSweepOrphans:
         assert cache.get(QUICK) == result
         # The retry cleaned up after itself: no temp files left behind.
         assert list(cache.root.glob("*/*.tmp")) == []
+
+
+def _race_grid(root, grid, barrier, conn):
+    barrier.wait(timeout=60)
+    results, _ = run_grid(grid, jobs=1, cache=ResultCache(root))
+    conn.send([result_to_dict(result) for result in results])
+    conn.close()
+
+
+class TestConcurrentWriters:
+    def test_overlapping_sweeps_share_one_directory(self, tmp_path):
+        cells = [
+            RunConfig(
+                workload=name,
+                scale=0.05,
+                seed=seed,
+                failure_model=FailureModel(rate=rate),
+            )
+            for name in ("luindex", "antlr")
+            for seed in (0, 1)
+            for rate in (0.0, 0.10)
+        ]
+        grids = [cells[:6], cells[2:]]
+        root = tmp_path / "cache"
+        ctx = multiprocessing.get_context("fork")
+        barrier = ctx.Barrier(len(grids))
+        runs = []
+        for grid in grids:
+            receiver, sender = ctx.Pipe(duplex=False)
+            process = ctx.Process(
+                target=_race_grid, args=(root, grid, barrier, sender)
+            )
+            process.start()
+            sender.close()
+            runs.append((grid, process, receiver))
+
+        serial = {config: result_to_dict(run_benchmark(config)) for config in cells}
+        for grid, process, receiver in runs:
+            assert receiver.poll(120), "a racing sweep never reported"
+            assert receiver.recv() == [serial[config] for config in grid]
+            process.join(30)
+            assert process.exitcode == 0
+        cache = ResultCache(root)
+        assert len(cache) == len(cells)
+        for config in cells:
+            assert result_to_dict(cache.get(config)) == serial[config]
+        assert list(root.glob("*/*.tmp")) == []

@@ -77,6 +77,16 @@ class TestRunGrid:
         assert second_stats.cache_misses == 0
         assert second == first
         assert all(timing.cached for timing in second_stats.timings)
+        # A superset grid over the same cache simulates only its new cell.
+        extra = RunConfig(
+            workload="luindex", scale=0.2, failure_model=FailureModel(rate=0.25)
+        )
+        third, third_stats = run_grid(grid + [extra], jobs=2, cache=cache)
+        assert third_stats.cache_misses == 1
+        assert third_stats.cache_hits == len(grid)
+        assert third[: len(grid)] == first
+        assert third[-1] == machine.run_benchmark(extra)
+        assert cache.stores == len(grid) + 1
 
 
 class TestSweepStats:

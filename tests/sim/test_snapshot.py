@@ -182,6 +182,35 @@ class TestSoaHeapState:
         assert machine_digest(vm) == before
 
 
+class TestDeepReferenceChains:
+    def test_long_chain_round_trips_under_default_recursion_limit(self):
+        # Each object references the next: a serializer whose depth
+        # follows reference chains needs 100x the default recursion
+        # limit for this heap.
+        from repro.runtime.vm import VirtualMachine, VmConfig
+
+        length = 100_000
+        vm = VirtualMachine(VmConfig(heap_bytes=8 << 20))
+        head = tail = vm.alloc(8)
+        vm.add_root(head)
+        for _ in range(length - 1):
+            obj = vm.alloc(8)
+            vm.add_ref(tail, obj)
+            tail = obj
+
+        restored_vm, _ = MachineSnapshot.capture((vm, None)).restore()
+
+        (obj,) = restored_vm.roots()
+        oids = [obj.oid]
+        while obj.refs:
+            (obj,) = obj.refs
+            oids.append(obj.oid)
+        assert oids == list(range(head.oid, head.oid + length))
+        assert obj in obj.block.objects
+        assert obj.block in restored_vm.collector.blocks
+        assert machine_digest(restored_vm) == machine_digest(vm)
+
+
 class TestResumeBitIdentity:
     @settings(max_examples=6, deadline=None)
     @given(

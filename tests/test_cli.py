@@ -51,26 +51,9 @@ class TestParser:
         assert args.heaps == [2.0]
         assert args.jobs == 1
         assert args.out == "BENCH_sweep.json"
-
-    def test_serve_defaults(self):
-        args = build_parser().parse_args(["serve"])
-        assert args.host == "127.0.0.1"
-        assert args.port == 8321
-        assert args.jobs == 1
         assert args.cache_dir is None
         assert args.retries is None
         assert args.timeout is None
-
-    def test_serve_execution_flags(self):
-        args = build_parser().parse_args(
-            ["serve", "--port", "0", "--cache-dir", ".c", "--jobs", "4",
-             "--retries", "3", "--timeout", "30"]
-        )
-        assert args.port == 0
-        assert args.cache_dir == ".c"
-        assert args.jobs == 4
-        assert args.retries == 3
-        assert args.timeout == 30.0
 
 
 class TestCommands:
